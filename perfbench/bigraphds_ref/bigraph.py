@@ -1,0 +1,241 @@
+"""Bipartite graphs joining one group copy to m translated copies.
+
+Part 0 holds the n group elements; part 1 holds m further copies, and copy
+vertex (l, v) is adjacent to (0, v*sigma) for every sigma in the chosen set.
+Part-0 vertices therefore have degree m*s and part-1 vertices degree s.
+"""
+
+from __future__ import annotations
+
+import json
+from collections import deque
+from dataclasses import dataclass
+
+from .diffsets import CandidateSet
+from .errors import UsageError, ValidationError
+
+EXPORT_FORMATS = ("edge-list", "dot", "json")
+
+
+@dataclass
+class BiGraph:
+    """Vertices 0..n-1 are part 0; vertex n + (l-1)*n + v is copy l's v."""
+
+    n: int
+    m: int
+    s: int
+    group_name: str
+    adjacency: list[list[int]]
+
+    def __post_init__(self) -> None:
+        if len(self.adjacency) != (self.m + 1) * self.n:
+            raise ValidationError(
+                f"adjacency has {len(self.adjacency)} vertices, expected {(self.m + 1) * self.n}"
+            )
+        self.adjacency = [sorted(neigh) for neigh in self.adjacency]
+
+    @property
+    def vertex_count(self) -> int:
+        return (self.m + 1) * self.n
+
+    @property
+    def edge_count(self) -> int:
+        return sum(len(neigh) for neigh in self.adjacency) // 2
+
+    def part_of(self, v: int) -> int:
+        return 0 if v < self.n else 1
+
+    def part_vertices(self, part: int) -> range:
+        return range(self.n) if part == 0 else range(self.n, self.vertex_count)
+
+    def vertex_name(self, v: int) -> str:
+        if v < self.n:
+            return f"P0_{v}"
+        l, u = divmod(v - self.n, self.n)
+        return f"P1_{l + 1}_{u}"
+
+    def vertex_id(self, name: str) -> int:
+        parts = name.split("_")
+        if parts[0] == "P0" and len(parts) == 2:
+            v = int(parts[1])
+            if 0 <= v < self.n:
+                return v
+        elif parts[0] == "P1" and len(parts) == 3:
+            l, u = int(parts[1]), int(parts[2])
+            if 1 <= l <= self.m and 0 <= u < self.n:
+                return self.n + (l - 1) * self.n + u
+        raise ValidationError(f"unknown vertex name {name!r}")
+
+    def named_edges(self) -> list[tuple[str, str]]:
+        out = []
+        for v, neigh in enumerate(self.adjacency):
+            for w in neigh:
+                if v < w:
+                    pair = (self.vertex_name(v), self.vertex_name(w))
+                    out.append(pair if pair[0] < pair[1] else (pair[1], pair[0]))
+        return sorted(out)
+
+
+@dataclass(frozen=True)
+class DiameterReport:
+    """diameter is None when the graph is disconnected (infinite)."""
+
+    diameter: int | None
+    eccentricities: tuple[int | None, ...]
+    witness: tuple[int, int]
+
+
+@dataclass(frozen=True)
+class BiregularCheck:
+    ok: bool
+    part0_degree: int | None
+    part1_degree: int | None
+    offending_vertex: int | None
+
+    @property
+    def degrees(self) -> tuple[int, int] | None:
+        return (self.part0_degree, self.part1_degree) if self.ok else None
+
+
+@dataclass(frozen=True)
+class RepeatReport:
+    """Same-part vertices sharing at least two neighbors, with the shared counts."""
+
+    part: int
+    repeats: dict[int, tuple[tuple[int, int], ...]]
+
+
+def build_difference_graph(cand: CandidateSet, m: int) -> BiGraph:
+    """The (m+1)-copy bipartite graph of the set inside its group."""
+    group = cand.group
+    n, s = group.order, cand.size
+    if m < 1:
+        raise ValidationError(f"copy count must be >= 1, got {m}")
+    if s >= n:
+        raise ValidationError(
+            f"set of size {s} in a group of order {n} gives a degenerate graph"
+        )
+    adjacency: list[list[int]] = [[] for _ in range((m + 1) * n)]
+    mul = group.mul
+    for l in range(1, m + 1):
+        base = n + (l - 1) * n
+        for v in range(n):
+            copy_vertex = base + v
+            row = mul[v]
+            for sigma in cand.elements:
+                u = row[sigma]
+                adjacency[u].append(copy_vertex)
+                adjacency[copy_vertex].append(u)
+    return BiGraph(n=n, m=m, s=s, group_name=group.name, adjacency=adjacency)
+
+
+def _bfs_distances(adjacency: list[list[int]], source: int) -> list[int]:
+    dist = [-1] * len(adjacency)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        d = dist[v] + 1
+        for w in adjacency[v]:
+            if dist[w] < 0:
+                dist[w] = d
+                queue.append(w)
+    return dist
+
+
+def diameter(graph: BiGraph) -> DiameterReport:
+    """Exact diameter by BFS from every vertex; None when disconnected."""
+    adjacency = graph.adjacency
+    eccs: list[int | None] = []
+    finite_best, finite_witness = 0, (0, 0)
+    infinite_witness: tuple[int, int] | None = None
+    for v in range(graph.vertex_count):
+        dist = _bfs_distances(adjacency, v)
+        if -1 in dist:
+            eccs.append(None)
+            if infinite_witness is None:
+                infinite_witness = (v, dist.index(-1))
+        else:
+            ecc = max(dist)
+            eccs.append(ecc)
+            if ecc > finite_best:
+                finite_best, finite_witness = ecc, (v, dist.index(ecc))
+    if infinite_witness is not None:
+        return DiameterReport(None, tuple(eccs), infinite_witness)
+    return DiameterReport(finite_best, tuple(eccs), finite_witness)
+
+
+def verify_biregular(graph: BiGraph) -> BiregularCheck:
+    """Check degree uniformity per part; report the first offending vertex."""
+    degrees = [None, None]
+    for part in (0, 1):
+        for v in graph.part_vertices(part):
+            d = len(graph.adjacency[v])
+            if degrees[part] is None:
+                degrees[part] = d
+            elif degrees[part] != d:
+                return BiregularCheck(False, None, None, v)
+    return BiregularCheck(True, degrees[0], degrees[1], None)
+
+
+def find_repeats(graph: BiGraph, part: int) -> RepeatReport:
+    """For each vertex of the part, the same-part vertices sharing >= 2 neighbors."""
+    if part not in (0, 1):
+        raise UsageError(f"part must be 0 or 1, got {part}")
+    repeats: dict[int, tuple[tuple[int, int], ...]] = {}
+    for u in graph.part_vertices(part):
+        shared: dict[int, int] = {}
+        for w in graph.adjacency[u]:
+            for v in graph.adjacency[w]:
+                if v != u:
+                    shared[v] = shared.get(v, 0) + 1
+        repeats[u] = tuple(sorted((v, c) for v, c in shared.items() if c >= 2))
+    return RepeatReport(part=part, repeats=repeats)
+
+
+def export_graph(graph: BiGraph, fmt: str) -> str:
+    """Deterministic text export; see EXPORT_FORMATS."""
+    if fmt not in EXPORT_FORMATS:
+        raise UsageError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
+    edges = graph.named_edges()
+    if fmt == "edge-list":
+        return "\n".join(f"{a} {b}" for a, b in edges) + "\n"
+    if fmt == "dot":
+        lines = ["graph G {"]
+        lines.extend(f'  "{a}" -- "{b}";' for a, b in edges)
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+    payload = {
+        "n": graph.n,
+        "m": graph.m,
+        "s": graph.s,
+        "group_name": graph.group_name,
+        "part0": [graph.vertex_name(v) for v in graph.part_vertices(0)],
+        "part1": [graph.vertex_name(v) for v in graph.part_vertices(1)],
+        "edges": [list(e) for e in edges],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def load_graph_json(text: str) -> BiGraph:
+    """Inverse of the json export."""
+    try:
+        payload = json.loads(text)
+        n, m, s = int(payload["n"]), int(payload["m"]), int(payload["s"])
+        group_name = payload["group_name"]
+        edges = payload["edges"]
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed graph json: {exc}") from exc
+    graph = BiGraph(n=n, m=m, s=s, group_name=group_name, adjacency=[[] for _ in range((m + 1) * n)])
+    if payload.get("part0") != [graph.vertex_name(v) for v in graph.part_vertices(0)]:
+        raise ValidationError("part0 names do not match the declared n")
+    if payload.get("part1") != [graph.vertex_name(v) for v in graph.part_vertices(1)]:
+        raise ValidationError("part1 names do not match the declared n and m")
+    for a, b in edges:
+        va, vb = graph.vertex_id(a), graph.vertex_id(b)
+        if graph.part_of(va) == graph.part_of(vb):
+            raise ValidationError(f"edge {a} -- {b} is not cross-part")
+        graph.adjacency[va].append(vb)
+        graph.adjacency[vb].append(va)
+    graph.adjacency = [sorted(x) for x in graph.adjacency]
+    return graph

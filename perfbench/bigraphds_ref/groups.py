@@ -1,0 +1,411 @@
+"""Finite groups as dense index-based multiplication tables.
+
+Elements are always the indices 0..n-1 with the identity at index 0, so every
+higher layer (difference profiles, graph builders, searches) works uniformly
+for Abelian and non-Abelian groups.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Sequence
+
+import numpy as np
+
+from .errors import CapacityError, UsageError, ValidationError
+
+# Table-cell budget of 10**6 caps the order at 1000.
+MAX_ORDER = 1000
+
+
+@dataclass(frozen=True)
+class Group:
+    """A finite group on elements 0..order-1, identity at index 0.
+
+    ``mul[i][j]`` is the index of the product of elements i and j, ``inv[g]``
+    the index of the inverse of g.  ``generators`` names distinguished
+    elements (set by :func:`build_semidirect` for the word syntax).
+    """
+
+    order: int
+    mul: tuple[tuple[int, ...], ...]
+    inv: tuple[int, ...]
+    abelian: bool
+    element_orders: tuple[int, ...]
+    name: str
+    identity: int = 0
+    generators: dict[str, int] | None = None
+
+    def multiply(self, a: int, b: int) -> int:
+        return self.mul[a][b]
+
+    def inverse(self, a: int) -> int:
+        return self.inv[a]
+
+    def involutions(self) -> tuple[int, ...]:
+        return tuple(g for g in range(self.order) if self.element_orders[g] == 2)
+
+    def power(self, a: int, e: int) -> int:
+        if e < 0:
+            a, e = self.inv[a], -e
+        acc = self.identity
+        for _ in range(e % _order_of(self.mul, a)):
+            acc = self.mul[acc][a]
+        return acc
+
+
+@dataclass(frozen=True)
+class GroupReport:
+    """Re-checked axioms plus the structural summary used by the search layer."""
+
+    name: str
+    order: int
+    ok: bool
+    axioms: dict[str, bool]
+    abelian: bool
+    order_histogram: dict[int, int]
+    involutions: tuple[int, ...]
+    first_failure: str | None
+
+
+def _order_of(mul: Sequence[Sequence[int]], g: int) -> int:
+    k, x = 1, g
+    while x != 0:
+        x = mul[x][g]
+        k += 1
+    return k
+
+
+def _element_orders(mul: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    return tuple(_order_of(mul, g) for g in range(len(mul)))
+
+
+def _is_abelian(mul: Sequence[Sequence[int]]) -> bool:
+    n = len(mul)
+    return all(mul[i][j] == mul[j][i] for i in range(n) for j in range(i + 1, n))
+
+
+def _inverses(mul: Sequence[Sequence[int]], identity: int = 0) -> tuple[int, ...]:
+    inv = [0] * len(mul)
+    for g in range(len(mul)):
+        h = mul[g].index(identity)
+        if mul[h][g] != identity:
+            raise ValidationError(f"element {g} has no two-sided inverse")
+        inv[g] = h
+    return tuple(inv)
+
+
+def _check_order(n: int) -> None:
+    if n < 1:
+        raise ValidationError(f"group order must be at least 1, got {n}")
+    if n > MAX_ORDER:
+        raise CapacityError(f"group order {n} exceeds the supported maximum {MAX_ORDER}")
+
+
+def build_cyclic(n: int) -> Group:
+    """Additive cyclic group Z_n."""
+    _check_order(n)
+    mul = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    inv = tuple((-i) % n for i in range(n))
+    orders = tuple(n // math.gcd(n, i) if i else 1 for i in range(n))
+    return Group(n, mul, inv, True, orders, f"Z{n}")
+
+
+def build_direct_product(g: Group, h: Group, max_order: int = MAX_ORDER) -> Group:
+    """Direct product with element (x, y) encoded as x*|h| + y."""
+    n = g.order * h.order
+    if n > max_order:
+        raise CapacityError(
+            f"product order {n} exceeds the configured maximum {max_order}"
+        )
+    hn = h.order
+    gmul, hmul = g.mul, h.mul
+    mul = []
+    for x1 in range(g.order):
+        for y1 in range(hn):
+            grow, hrow = gmul[x1], hmul[y1]
+            mul.append(
+                tuple(grow[x2] * hn + hrow[y2] for x2 in range(g.order) for y2 in range(hn))
+            )
+    mul_t = tuple(mul)
+    inv = tuple(g.inv[x] * hn + h.inv[y] for x in range(g.order) for y in range(hn))
+    orders = tuple(
+        (g.element_orders[x] * h.element_orders[y])
+        // math.gcd(g.element_orders[x], h.element_orders[y])
+        for x in range(g.order)
+        for y in range(hn)
+    )
+    return Group(n, mul_t, inv, g.abelian and h.abelian, orders, f"{g.name}x{h.name}")
+
+
+def build_semidirect(m: int, n: int, k: int) -> Group:
+    """Z_m semidirect Z_n where the Z_n generator acts by x -> k*x on Z_m.
+
+    Elements are pairs (i, j) for a^i b^j, encoded as i*n + j; the product is
+    (i1, j1)(i2, j2) = (i1 + i2*k^j1 mod m, j1 + j2 mod n).
+    """
+    _check_order(m)
+    _check_order(n)
+    if m * n > MAX_ORDER:
+        raise CapacityError(f"order {m * n} exceeds the supported maximum {MAX_ORDER}")
+    if k < 1 or math.gcd(k, m) != 1 or pow(k, n, m) != 1 % m:
+        raise ValidationError(
+            f"invalid action: need gcd(k,m)=1 and k^n = 1 (mod m), got m={m}, n={n}, k={k}"
+        )
+    kpow = [1 % m]
+    for _ in range(n - 1):
+        kpow.append(kpow[-1] * k % m)
+    order = m * n
+    mul = []
+    for i1 in range(m):
+        for j1 in range(n):
+            kj = kpow[j1]
+            mul.append(
+                tuple(((i1 + i2 * kj) % m) * n + (j1 + j2) % n for i2 in range(m) for j2 in range(n))
+            )
+    mul_t = tuple(mul)
+    inv = _inverses(mul_t)
+    abelian = k % m == 1 % m
+    name = f"Z{m}:Z{n}(k={k})"
+    gens = {"a": (1 % m) * n, "b": 1 % n}
+    return Group(order, mul_t, inv, abelian, _element_orders(mul_t), name, generators=gens)
+
+
+def format_cayley_table(g: Group) -> str:
+    """Serialize a group in the Cayley-table file format."""
+    lines = [f"# {g.name}", str(g.order)]
+    lines.extend(" ".join(str(x) for x in row) for row in g.mul)
+    return "\n".join(lines) + "\n"
+
+
+def _find_latin_violation(mul: Sequence[Sequence[int]]) -> tuple[int, int] | None:
+    n = len(mul)
+    for i in range(n):
+        seen: dict[int, int] = {}
+        for j, v in enumerate(mul[i]):
+            if v in seen:
+                return (i, j)
+            seen[v] = j
+    for j in range(n):
+        seen = {}
+        for i in range(n):
+            v = mul[i][j]
+            if v in seen:
+                return (i, j)
+            seen[v] = i
+    return None
+
+
+def _find_associativity_violation(
+    mul: Sequence[Sequence[int]],
+) -> tuple[int, int, int] | None:
+    """First (i, j, k) with (i*j)*k != i*(j*k), scanning in blocks of rows."""
+    a = np.asarray(mul, dtype=np.intp)
+    n = len(mul)
+    block = max(1, (1 << 22) // max(1, n * n))
+    for i0 in range(0, n, block):
+        rows = a[i0 : i0 + block]
+        left = a[rows]            # left[x, j, k] = a[a[i0+x, j], k]
+        right = rows[:, a]        # right[x, j, k] = a[i0+x, a[j, k]]
+        bad = np.argwhere(left != right)
+        if bad.size:
+            x, j, k = bad[0]
+            return (i0 + int(x), int(j), int(k))
+    return None
+
+
+def _find_identity(mul: Sequence[Sequence[int]]) -> int | None:
+    n = len(mul)
+    for e in range(n):
+        if all(mul[e][g] == g and mul[g][e] == g for g in range(n)):
+            return e
+    return None
+
+
+def parse_cayley_table(text: str, name: str = "loaded") -> Group:
+    """Parse and fully validate a Cayley table; relabel so the identity is 0."""
+    rows_raw: list[list[str]] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        rows_raw.append(stripped.split())
+    if not rows_raw:
+        raise ValidationError("empty Cayley-table file")
+    head = rows_raw[0]
+    if len(head) != 1 or not head[0].isdigit():
+        raise ValidationError(f"first data line must be the order, got {' '.join(head)!r}")
+    n = int(head[0])
+    _check_order(n)
+    body = rows_raw[1:]
+    if len(body) != n:
+        raise ValidationError(f"expected {n} table rows, found {len(body)}")
+    mul: list[tuple[int, ...]] = []
+    for i, row in enumerate(body):
+        if len(row) != n:
+            raise ValidationError(f"row {i} has {len(row)} entries, expected {n}")
+        vals = []
+        for j, tok in enumerate(row):
+            try:
+                v = int(tok)
+            except ValueError:
+                raise ValidationError(f"row {i}, column {j}: {tok!r} is not an integer")
+            if not 0 <= v < n:
+                raise ValidationError(f"row {i}, column {j}: entry {v} out of range 0..{n - 1}")
+            vals.append(v)
+        mul.append(tuple(vals))
+
+    cell = _find_latin_violation(mul)
+    if cell is not None:
+        raise ValidationError(
+            f"not a Latin square: duplicate value in row/column at cell ({cell[0]}, {cell[1]})"
+        )
+    e = _find_identity(mul)
+    if e is None:
+        raise ValidationError("table has no two-sided identity element")
+    triple = _find_associativity_violation(mul)
+    if triple is not None:
+        i, j, k = triple
+        raise ValidationError(f"not associative: ({i}*{j})*{k} != {i}*({j}*{k})")
+
+    if e != 0:
+        relabel = list(range(n))
+        relabel[0], relabel[e] = e, 0     # transposition swapping 0 and e
+        mul = [
+            tuple(relabel[mul[relabel[i]][relabel[j]]] for j in range(n))
+            for i in range(n)
+        ]
+    mul_t = tuple(mul)
+    inv = _inverses(mul_t)
+    return Group(n, mul_t, inv, _is_abelian(mul_t), _element_orders(mul_t), name)
+
+
+def load_cayley_table(path: str | Path) -> Group:
+    p = Path(path)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot read Cayley table {p}: {exc}") from exc
+    return parse_cayley_table(text, name=p.stem)
+
+
+def validate_group(g: Group) -> GroupReport:
+    """Re-check every Group axiom from the raw table and summarize structure."""
+    axioms: dict[str, bool] = {}
+    first_failure: str | None = None
+
+    def record(axiom: str, ok: bool, detail: str) -> None:
+        nonlocal first_failure
+        axioms[axiom] = ok
+        if not ok and first_failure is None:
+            first_failure = detail
+
+    cell = _find_latin_violation(g.mul)
+    record("latin_square", cell is None, f"duplicate at cell {cell}" if cell else "")
+    e = g.identity
+    ident_ok = 0 <= e < g.order and all(
+        g.mul[e][x] == x and g.mul[x][e] == x for x in range(g.order)
+    )
+    record("identity", ident_ok, f"index {e} is not a two-sided identity")
+    triple = _find_associativity_violation(g.mul)
+    record("associativity", triple is None, f"violated at triple {triple}" if triple else "")
+    inv_ok = all(
+        g.mul[x][g.inv[x]] == e and g.mul[g.inv[x]][x] == e for x in range(g.order)
+    )
+    record("inverses", inv_ok, "inv table does not give two-sided inverses")
+
+    histogram: dict[int, int] = {}
+    for k in g.element_orders:
+        histogram[k] = histogram.get(k, 0) + 1
+    return GroupReport(
+        name=g.name,
+        order=g.order,
+        ok=all(axioms.values()),
+        axioms=axioms,
+        abelian=_is_abelian(g.mul),
+        order_histogram=dict(sorted(histogram.items())),
+        involutions=g.involutions(),
+        first_failure=first_failure,
+    )
+
+
+def _parse_int_prefix(s: str, what: str) -> tuple[int, str]:
+    i = 0
+    while i < len(s) and s[i].isdigit():
+        i += 1
+    if i == 0:
+        raise UsageError(f"expected an integer for {what} in group spec, got {s!r}")
+    return int(s[:i]), s[i:]
+
+
+def _parse_spec(s: str) -> tuple[Group, str]:
+    if s.startswith("cyclic:"):
+        n, rest = _parse_int_prefix(s[len("cyclic:") :], "cyclic order")
+        return build_cyclic(n), rest
+    if s.startswith("product:"):
+        left, rest = _parse_spec(s[len("product:") :])
+        if not rest.startswith(","):
+            raise UsageError("product spec needs two comma-separated factors")
+        right, rest = _parse_spec(rest[1:])
+        return build_direct_product(left, right), rest
+    if s.startswith("semidirect:"):
+        vals = []
+        rest = s[len("semidirect:") :]
+        for label in ("m", "n", "k"):
+            if label != "m":
+                if not rest.startswith(","):
+                    raise UsageError("semidirect spec needs three comma-separated integers")
+                rest = rest[1:]
+            val, rest = _parse_int_prefix(rest, f"semidirect {label}")
+            vals.append(val)
+        return build_semidirect(*vals), rest
+    if s.startswith("file:"):
+        body = s[len("file:") :]
+        comma = body.find(",")
+        path, rest = (body, "") if comma < 0 else (body[:comma], body[comma:])
+        if not path:
+            raise UsageError("file spec needs a path")
+        return load_cayley_table(path), rest
+    raise UsageError(
+        f"unrecognized group spec {s!r} (expected cyclic:n, product:a,b, "
+        "semidirect:m,n,k, or file:path)"
+    )
+
+
+def parse_group_spec(spec: str) -> Group:
+    """Build a Group from the spec grammar cyclic:n | product:a,b | semidirect:m,n,k | file:path."""
+    group, rest = _parse_spec(spec.strip())
+    if rest:
+        raise UsageError(f"trailing text {rest!r} after group spec")
+    return group
+
+
+def nonabelian_order42_groups() -> list[Group]:
+    """The five non-Abelian groups of order 42, via the named constructions."""
+    z2 = build_cyclic(2)
+    z3 = build_cyclic(3)
+    z7 = build_cyclic(7)
+    d6 = build_semidirect(3, 2, 2)      # S3
+    d14 = build_semidirect(7, 2, 6)
+    z7_z3 = build_semidirect(7, 3, 2)
+    groups = [
+        build_semidirect(7, 6, 3),      # Frobenius group of order 42
+        build_semidirect(21, 2, 20),    # dihedral of order 42
+        build_direct_product(d6, z7),
+        build_direct_product(d14, z3),
+        build_direct_product(z7_z3, z2),
+    ]
+    assert all(not g.abelian and g.order == 42 for g in groups)
+    return groups
+
+
+def abelian_order40_groups() -> list[Group]:
+    """Z_40, Z_2 x Z_20, and Z_2 x Z_2 x Z_10."""
+    z2 = build_cyclic(2)
+    return [
+        build_cyclic(40),
+        build_direct_product(z2, build_cyclic(20)),
+        build_direct_product(build_direct_product(z2, z2), build_cyclic(10)),
+    ]
