@@ -7,12 +7,13 @@ Exit codes: 0 success, 1 reproduction-check failure, 2 usage, 3 validation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
 
-from . import bigraph, bounds, diffsets, groups, search, singer
+from . import bigraph, bounds, diffsets, groups, ledger, search, singer
 from .errors import BigraphdsError, UsageError
 
 _WORKERS_ENV = "BIGRAPHDS_WORKERS"
@@ -30,18 +31,31 @@ def _require(cond: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def _classification_payload(cls: diffsets.SetClassification) -> dict:
-    return {
-        "verdict": cls.verdict,
-        "n": cls.n,
-        "s": cls.s,
-        "lambda": cls.lam,
-        "t": cls.t,
-        "params": cls.params(),
-        "missing": list(cls.missing),
-        "repeated": list(cls.repeated),
-        "histogram": {str(k): v for k, v in cls.histogram.items()},
-    }
+# Payload keys that differ from the names of the dataclass fields they hold.
+_RENAMED = {"elements": "set", "group_name": "group", "lam": "lambda", "poly_used": "poly"}
+
+
+def _jsonable(obj):
+    """JSON-ready form of a result dataclass, field by field.
+
+    A CandidateSet becomes its element list, so no payload carries its
+    group's multiplication table; a classification adds its params.
+    """
+    if isinstance(obj, diffsets.CandidateSet):
+        return list(obj.elements)
+    if dataclasses.is_dataclass(obj):
+        out = {
+            _RENAMED.get(f.name, f.name): _jsonable(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+        }
+        if isinstance(obj, diffsets.SetClassification):
+            out["params"] = obj.params()
+        return out
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(x) for x in obj]
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    return obj
 
 
 def _cmd_bound(args) -> tuple[dict, str, int]:
@@ -49,31 +63,11 @@ def _cmd_bound(args) -> tuple[dict, str, int]:
     _require(args.m >= 1, f"half-diameter must be >= 1, got {args.m}")
     r, s = max(args.r, args.s), min(args.r, args.s)
     rep = bounds.bound_report(r, s) if args.m == 1 else bounds.moore_bound_odd(r, s, args.m)
-    payload = {
-        "r": rep.r,
-        "s": rep.s,
-        "d": rep.d,
-        "n1_raw": rep.n1_raw,
-        "n2_raw": rep.n2_raw,
-        "rho": rep.rho,
-        "sigma": rep.sigma,
-        "moore": rep.moore,
-        "n1": rep.n1,
-        "n2": rep.n2,
-        "improved": None
-        if rep.improved is None
-        else {
-            "multiplier": rep.improved.multiplier,
-            "value": rep.improved.value,
-            "n1": rep.improved.n1,
-            "n2": rep.improved.n2,
-            # exact rational margin justifying the window, as a fraction string
-            "margin": str(
-                bounds.improvement_margin(rep.improved.multiplier, rep.s).value
-            ),
-        },
-        "best": rep.best,
-    }
+    payload = _jsonable(rep)
+    if rep.improved:
+        # exact rational margin justifying the window, as a fraction string
+        margin = bounds.improvement_margin(rep.improved.multiplier, rep.s).value
+        payload["improved"]["margin"] = str(margin)
     lines = [
         f"M({rep.r},{rep.s};{rep.d}) = {rep.moore}"
         f"  [N1'={rep.n1_raw}, N2'={rep.n2_raw}, N1={rep.n1}, N2={rep.n2}]"
@@ -102,14 +96,7 @@ def _cmd_singer(args) -> tuple[dict, str, int]:
         except ValueError:
             raise UsageError(f"--poly must be comma-separated integers, got {args.poly!r}")
     ss = singer.singer_set(args.q, modulus=modulus)
-    payload = {
-        "q": ss.q,
-        "n": ss.n,
-        "poly": list(ss.poly_used),
-        "exponents_raw": list(ss.exponents_raw),
-        "set": list(ss.set.elements),
-        "classification": _classification_payload(ss.classification),
-    }
+    payload = _jsonable(ss)
     lines = [
         f"q = {ss.q}, n = {ss.n}",
         f"primitive cubic (constant term first): {list(ss.poly_used)}",
@@ -127,7 +114,7 @@ def _cmd_classify(args) -> tuple[dict, str, int]:
     payload = {
         "group": group.name,
         "set": list(cand.elements),
-        "classification": _classification_payload(cls),
+        "classification": _jsonable(cls),
     }
     lines = [f"{list(cand.elements)} in {group.name}: {cls.verdict}{cls.params()}"]
     if cls.missing:
@@ -139,6 +126,7 @@ def _cmd_classify(args) -> tuple[dict, str, int]:
 
 def _cmd_graph(args) -> tuple[dict, str, int]:
     _require(args.m >= 1, f"--m must be >= 1, got {args.m}")
+    _require(args.format or not args.out, "--out needs --format")
     group = groups.parse_group_spec(args.group)
     cand = diffsets.parse_set_literal(group, args.set)
     graph = bigraph.build_difference_graph(cand, args.m)
@@ -193,32 +181,13 @@ def _search_config(args, group) -> search.SearchConfig:
     )
 
 
-def _outcome_payload(out: search.SearchOutcome) -> dict:
-    return {
-        "group": out.group_name,
-        "size": out.size,
-        "slack": out.slack,
-        "found": [
-            {
-                "set": list(f.elements),
-                "classification": _classification_payload(f.classification),
-            }
-            for f in out.found
-        ],
-        "candidates_examined": out.candidates_examined,
-        "candidates_pruned": out.candidates_pruned,
-        "exhausted": out.exhausted,
-        "wall_time_ms": out.wall_time_ms,
-    }
-
-
 def _cmd_search(args) -> tuple[dict, str, int]:
     _require(args.size >= 2, f"--size must be >= 2, got {args.size}")
     group = groups.parse_group_spec(args.group)
     config = _search_config(args, group)
     run = search.exists_covering_set if args.exists_only else search.enumerate_covering_sets
     out = run(config)
-    payload = _outcome_payload(out)
+    payload = _jsonable(out)
     lines = [
         f"{out.group_name} size {out.size} (slack {out.slack}): "
         f"{len(out.found)} covering set(s)"
@@ -244,20 +213,7 @@ def _cmd_sweep(args) -> tuple[dict, str, int]:
         require_inverse_covering=args.require_inverse_covering,
         worker_count=args.workers,
     )
-    payload = {
-        "size": args.size,
-        "results": [
-            {
-                "spec": row.spec,
-                "group": row.group_name,
-                "found": row.found,
-                "witness": list(row.witness) if row.witness else None,
-                "error": row.error,
-                "wall_time_ms": row.wall_time_ms,
-            }
-            for row in rows
-        ],
-    }
+    payload = {"size": args.size, "results": _jsonable(rows)}
     lines = []
     for row in rows:
         if row.error:
@@ -265,22 +221,14 @@ def _cmd_sweep(args) -> tuple[dict, str, int]:
         else:
             verdict = f"yes {list(row.witness)}" if row.found else "no"
             lines.append(f"{row.group_name}: {verdict}  ({row.wall_time_ms} ms)")
-    return payload, "\n".join(lines), 0
+    failed = [row.error_code for row in rows if row.error_code]
+    return payload, "\n".join(lines), failed[0] if failed else 0
 
 
 def _cmd_validate_group(args) -> tuple[dict, str, int]:
     group = groups.parse_group_spec(args.group)
     report = groups.validate_group(group)
-    payload = {
-        "name": report.name,
-        "order": report.order,
-        "ok": report.ok,
-        "axioms": report.axioms,
-        "abelian": report.abelian,
-        "order_histogram": {str(k): v for k, v in report.order_histogram.items()},
-        "involutions": list(report.involutions),
-        "first_failure": report.first_failure,
-    }
+    payload = _jsonable(report)
     lines = [f"{report.name}: order {report.order}, {'abelian' if report.abelian else 'non-abelian'}"]
     lines.extend(f"  {axiom}: {'ok' if ok else 'FAILED'}" for axiom, ok in report.axioms.items())
     lines.append(f"  element-order histogram: {report.order_histogram}")
@@ -290,259 +238,12 @@ def _cmd_validate_group(args) -> tuple[dict, str, int]:
     return payload, "\n".join(lines), 0
 
 
-# ---------------------------------------------------------------------------
-# repro: executable reproduction ledger
-
-
-def _check_table1() -> tuple[bool, str]:
-    anchored = {
-        (4, 3): 14,
-        (5, 3): 16,
-        (6, 3): 24,
-        (8, 4): 42,
-        (10, 5): 69,
-        (10, 6): 88,
-        (12, 12): 266,
-    }
-    diagonal = [6, 14, 26, 42, 62, 86, 114, 146, 182, 222, 266]
-    for (r, s), want in anchored.items():
-        if bounds.bound_report(r, s).moore != want:
-            return False, f"cell ({r},{s}) != {want}"
-    for i, want in enumerate(diagonal):
-        r = i + 2
-        if bounds.bound_report(r, r).moore != want:
-            return False, f"diagonal ({r},{r}) != {want}"
-    bounds.render_table("moore", 12, 12, "md")
-    return True, "7 anchored cells and 11 diagonal cells match"
-
-
-def _check_table2() -> tuple[bool, str]:
-    expected = {
-        (3, 6): 21,
-        (3, 9): 28,
-        (4, 12): 56,
-        (4, 16): 70,
-        (4, 20): 84,
-        (4, 24): 98,
-        (4, 28): 112,
-        (4, 32): 126,
-        (4, 36): 140,
-        (5, 20): 115,
-        (5, 25): 138,
-        (5, 30): 161,
-        (5, 35): 184,
-    }
-    for s in range(2, 6):
-        for r in range(2, 37):
-            improved = bounds.improved_moore_bound(r // s, s) if r % s == 0 else None
-            want = expected.get((s, r))
-            got = improved.value if improved else None
-            if got != want:
-                return False, f"cell (s={s},r={r}): got {got}, want {want}"
-    return True, "13 improved cells match, all other cells dash"
-
-
-def _check_table3() -> tuple[bool, str]:
-    for s, (n, elems) in singer.PUBLISHED_PERFECT_SETS.items():
-        cand = diffsets.CandidateSet(groups.build_cyclic(n), elems)
-        cls = diffsets.classify_set(cand)
-        if cls.verdict != diffsets.PERFECT or cls.s != s:
-            return False, f"published set for s={s} classified {cls.verdict}{cls.params()}"
-    return True, f"{len(singer.PUBLISHED_PERFECT_SETS)} published sets all classify perfect"
-
-
-def _check_singer() -> tuple[bool, str]:
-    for q in (2, 3, 4, 5, 7, 8, 9, 11):
-        ss = singer.singer_set(q)
-        if ss.set.size != q + 1 or ss.classification.verdict != diffsets.PERFECT:
-            return False, f"q={q} produced {ss.classification.verdict}"
-    published = singer.singer_set(3, modulus=(1, 1, 2, 1))
-    if published.set.elements != (0, 1, 4, 6):
-        return False, f"q=3 with the published cubic gave {published.set.elements}"
-    return True, "q in {2,3,4,5,7,8,9,11} all perfect; published cubic reproduces {0,1,4,6}"
-
-
-def _graph_check(n, elems, m, vertices, degrees, diam) -> tuple[bool, str]:
-    cand = diffsets.CandidateSet(groups.build_cyclic(n), elems)
-    graph = bigraph.build_difference_graph(cand, m)
-    check = bigraph.verify_biregular(graph)
-    got_diam = bigraph.diameter(graph).diameter
-    ok = (
-        graph.vertex_count == vertices
-        and check.ok
-        and check.degrees == degrees
-        and got_diam == diam
-    )
-    detail = (
-        f"{graph.vertex_count} vertices, degrees {check.degrees}, diameter {got_diam}"
-    )
-    return ok, detail
-
-
-def _check_figure2() -> tuple[bool, str]:
-    return _graph_check(7, (0, 1, 3), 2, 21, (6, 3), 3)
-
-
-def _check_figure3() -> tuple[bool, str]:
-    return _graph_check(13, (0, 1, 3, 9), 2, 39, (8, 4), 3)
-
-
-def _check_pg22() -> tuple[bool, str]:
-    ok, detail = _graph_check(7, (0, 1, 3), 1, 14, (3, 3), 3)
-    if not ok:
-        return False, detail
-    cand = diffsets.CandidateSet(groups.build_cyclic(7), (0, 1, 3))
-    graph = bigraph.build_difference_graph(cand, 1)
-    repeats = bigraph.find_repeats(graph, 0)
-    if any(repeats.repeats.values()):
-        return False, "projective-plane incidence graph has a repeated pair"
-    return True, detail + ", no same-part pair shares 2 neighbors"
-
-
-def _check_bimoore() -> tuple[bool, str]:
-    details = []
-    for m in (2, 3):
-        cand = diffsets.CandidateSet(groups.build_cyclic(7), (0, 1, 3))
-        graph = bigraph.build_difference_graph(cand, m)
-        improved = bounds.improved_moore_bound(m, 3)
-        if improved is None or graph.vertex_count != improved.value:
-            return False, f"m={m}: order {graph.vertex_count} != improved bound"
-        details.append(f"m={m}: order {graph.vertex_count} = M*")
-    return True, "; ".join(details)
-
-
-def _check_z6_prop5() -> tuple[bool, str]:
-    out = search.enumerate_covering_sets(search.SearchConfig(groups.build_cyclic(6), 3))
-    if not out.found:
-        return False, "no covering 3-sets found in Z6"
-    for f in out.found:
-        if f.classification.repeated != (3,):
-            return False, f"{f.elements} doubled {f.classification.repeated}, expected (3,)"
-    return True, f"{len(out.found)} covering sets, each doubling only the involution 3"
-
-
-def _check_z39_witness() -> tuple[bool, str]:
-    cand = diffsets.CandidateSet(groups.build_cyclic(39), (0, 1, 2, 4, 13, 18, 33))
-    cls = diffsets.classify_set(cand)
-    ok = cls.verdict == diffsets.ADS and (cls.n, cls.s, cls.lam, cls.t) == (39, 7, 1, 34)
-    return ok, f"witness classifies {cls.verdict}{cls.params()}"
-
-
-def _gamma1_published_set(group) -> diffsets.CandidateSet:
-    words = ["1", "b", "b^4", "b*a", "b*a^-1*b^2", "a*b^-1", "b*a*b^2"]
-    return diffsets.CandidateSet(
-        group, tuple(diffsets.parse_word(group, w) for w in words)
-    )
-
-
-def _check_gamma1() -> tuple[bool, str]:
-    group = groups.build_semidirect(5, 8, 2)
-    cand = _gamma1_published_set(group)
-    cls = diffsets.classify_set(cand)
-    if cls.verdict != diffsets.ADS or (cls.n, cls.s, cls.lam, cls.t) != (40, 7, 1, 36):
-        return False, f"published set classifies {cls.verdict}{cls.params()}"
-    doubled = cls.repeated
-    if len(doubled) != 3:
-        return False, f"expected 3 doubled elements, got {doubled}"
-    involutions = [g for g in doubled if group.element_orders[g] == 2]
-    others = [g for g in doubled if group.element_orders[g] != 2]
-    if len(involutions) != 1 or len(others) != 2 or group.inv[others[0]] != others[1]:
-        return False, f"doubled elements {doubled} lack the involution + inverse-pair shape"
-    if not search.verify_inverse_covering(group, cand.elements):
-        return False, "inverse set is not covering"
-    graph = bigraph.build_difference_graph(cand, 2)
-    check = bigraph.verify_biregular(graph)
-    diam = bigraph.diameter(graph).diameter
-    if graph.vertex_count != 120 or check.degrees != (14, 7) or diam != 3:
-        return False, f"G_2: {graph.vertex_count} vertices, {check.degrees}, diameter {diam}"
-    return True, "ADS(40,7,1,36); doubled = involution + inverse pair; G_2 has 120 vertices, (14,7), diameter 3"
-
-
-def _check_abelian_searches(workers: int) -> tuple[bool, str]:
-    specs = [
-        "cyclic:42",
-        "cyclic:41",
-        "cyclic:40",
-        "product:cyclic:2,cyclic:20",
-        "product:product:cyclic:2,cyclic:2,cyclic:10",
-    ]
-    for spec in specs:
-        group = groups.parse_group_spec(spec)
-        out = search.enumerate_covering_sets(
-            search.SearchConfig(group, 7, worker_count=workers)
-        )
-        if out.found or not out.exhausted:
-            return False, f"{group.name}: found {len(out.found)}, exhausted={out.exhausted}"
-    return True, "orders 42, 41, 40 (all Abelian groups) exhausted with zero finds"
-
-
-def _check_z39_enumeration(workers: int) -> tuple[bool, str]:
-    out = search.enumerate_covering_sets(
-        search.SearchConfig(groups.build_cyclic(39), 7, worker_count=workers)
-    )
-    witness = (0, 1, 2, 4, 13, 18, 33)
-    if witness not in [f.elements for f in out.found]:
-        return False, "published Z39 set missing from the enumeration"
-    return True, f"{len(out.found)} covering sets found, including the published one"
-
-
-def _check_nonabelian_sweep(workers: int) -> tuple[bool, str]:
-    rows = search.sweep_family(
-        groups.nonabelian_order42_groups(), 7, worker_count=workers
-    )
-    bad = [row for row in rows if row.found is not False]
-    if bad:
-        return False, f"unexpected outcome for {[row.spec for row in bad]}"
-    return True, "all five non-Abelian order-42 groups have no covering 7-set"
-
-
-def _check_gamma1_search(workers: int) -> tuple[bool, str]:
-    group = groups.build_semidirect(5, 8, 2)
-    out = search.exists_covering_set(
-        search.SearchConfig(group, 7, require_inverse_covering=True, worker_count=workers)
-    )
-    if not out.found:
-        return False, "no covering set with covering inverse found"
-    return True, f"witness {list(out.found[0].elements)}"
-
-
 def _cmd_repro(args) -> tuple[dict, str, int]:
-    checks = [
-        ("table1-moore-values", _check_table1),
-        ("table2-improved-values", _check_table2),
-        ("table3-published-perfect-sets", _check_table3),
-        ("singer-generation", _check_singer),
-        ("figure2-graph-over-z7", _check_figure2),
-        ("figure3-graph-over-z13", _check_figure3),
-        ("pg22-incidence-graph", _check_pg22),
-        ("bimoore-orders-match-improved-bound", _check_bimoore),
-        ("z6-doubled-element-is-the-involution", _check_z6_prop5),
-        ("z39-ads-witness", _check_z39_witness),
-        ("gamma1-ads-and-graph", _check_gamma1),
-    ]
-    if args.full:
-        workers = args.workers
-        checks.extend(
-            [
-                ("abelian-40-41-42-searches", lambda: _check_abelian_searches(workers)),
-                ("z39-enumeration", lambda: _check_z39_enumeration(workers)),
-                ("nonabelian-42-sweep", lambda: _check_nonabelian_sweep(workers)),
-                ("gamma1-inverse-covering-search", lambda: _check_gamma1_search(workers)),
-            ]
-        )
-    results = []
-    lines = []
-    for name, fn in checks:
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # noqa: BLE001 - a crash is a failed check
-            ok, detail = False, f"crashed: {exc}"
-        results.append({"name": name, "ok": ok, "detail": detail})
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    all_ok = all(r["ok"] for r in results)
-    lines.append(f"{'all checks passed' if all_ok else 'SOME CHECKS FAILED'}")
-    payload = {"checks": results, "all_ok": all_ok}
-    return payload, "\n".join(lines), 0 if all_ok else 1
+    results = ledger.run(full=args.full, workers=args.workers)
+    all_ok = all(r.ok for r in results)
+    lines = [f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}" for r in results]
+    lines.append("all checks passed" if all_ok else "SOME CHECKS FAILED")
+    return {"checks": _jsonable(results), "all_ok": all_ok}, "\n".join(lines), 0 if all_ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip partitions whose first element is below K")
     p.add_argument("--report-interval", type=int, default=0,
                    help="progress line every N completed partitions")
-    p.add_argument("--seed", type=int, help="reserved; all algorithms are deterministic")
     add_json(p)
 
     p = sub.add_parser("sweep", help="exists-search over a family of groups")
@@ -616,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--require-inverse-covering", action="store_true")
     p.add_argument("--workers", type=int, default=_default_workers())
-    p.add_argument("--seed", type=int, help="reserved; all algorithms are deterministic")
     add_json(p)
 
     p = sub.add_parser("validate-group", help="re-check the group axioms of a spec")
@@ -671,9 +370,10 @@ def main(argv=None) -> int:
             "wall_time_ms": int((time.monotonic() - t0) * 1000),
         }
         if code != 0:
+            failed = "reproduction checks" if args.command == "repro" else "sweep rows"
             envelope["error"] = {
                 "type": "CheckFailure",
-                "message": "one or more reproduction checks failed",
+                "message": f"one or more {failed} failed",
             }
         print(json.dumps(envelope, indent=2, sort_keys=True))
     elif human:

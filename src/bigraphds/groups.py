@@ -8,7 +8,7 @@ for Abelian and non-Abelian groups.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -26,7 +26,8 @@ class Group:
 
     ``mul[i][j]`` is the index of the product of elements i and j, ``inv[g]``
     the index of the inverse of g.  ``generators`` names distinguished
-    elements (set by :func:`build_semidirect` for the word syntax).
+    elements (set by :func:`build_semidirect` for the word syntax); being a
+    dict, it is left out of the hash, so equal groups still hash equal.
     """
 
     order: int
@@ -36,13 +37,7 @@ class Group:
     element_orders: tuple[int, ...]
     name: str
     identity: int = 0
-    generators: dict[str, int] | None = None
-
-    def multiply(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
+    generators: dict[str, int] | None = field(default=None, hash=False)
 
     def involutions(self) -> tuple[int, ...]:
         return tuple(g for g in range(self.order) if self.element_orders[g] == 2)
@@ -113,13 +108,10 @@ def build_cyclic(n: int) -> Group:
     return Group(n, mul, inv, True, orders, f"Z{n}")
 
 
-def build_direct_product(g: Group, h: Group, max_order: int = MAX_ORDER) -> Group:
+def build_direct_product(g: Group, h: Group) -> Group:
     """Direct product with element (x, y) encoded as x*|h| + y."""
     n = g.order * h.order
-    if n > max_order:
-        raise CapacityError(
-            f"product order {n} exceeds the configured maximum {max_order}"
-        )
+    _check_order(n)
     hn = h.order
     gmul, hmul = g.mul, h.mul
     mul = []

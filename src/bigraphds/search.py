@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 
 from .diffsets import CandidateSet, SetClassification, classify_set, inverse_set
-from .errors import InternalError, ValidationError
+from .errors import CapacityError, InternalError, UsageError, ValidationError
 from .groups import Group
 
 
@@ -50,6 +50,11 @@ class SearchConfig:
             raise ValidationError(f"limit must be >= 1 when present, got {self.limit}")
         if self.worker_count < 1:
             raise ValidationError(f"worker count must be >= 1, got {self.worker_count}")
+        last = self.group.order - self.size + 1
+        if self.resume_from > last:
+            raise ValidationError(
+                f"resume point {self.resume_from} is past the last partition {last}"
+            )
 
 
 @dataclass(frozen=True)
@@ -77,18 +82,20 @@ class SweepRow:
     found: bool | None
     witness: tuple[int, ...] | None
     error: str | None
+    error_code: int | None
     wall_time_ms: int
 
 
 # Per-process search state, installed by the pool initializer (or directly
 # for inline runs): (diff_table, inv, n, s, slack, prune, stop_after_first,
-# require_inverse_covering).
+# require_inverse_covering), and the pool's shared stop flag (None inline).
 _STATE: tuple | None = None
+_HALT = None
 
 
-def _set_state(state: tuple) -> None:
-    global _STATE
-    _STATE = state
+def _set_state(state: tuple, halt=None) -> None:
+    global _STATE, _HALT
+    _STATE, _HALT = state, halt
 
 
 def _inverse_is_covering(elems: tuple[int, ...], dt, inv, n: int) -> bool:
@@ -100,6 +107,9 @@ def _inverse_is_covering(elems: tuple[int, ...], dt, inv, n: int) -> bool:
 def _search_partition(first: int) -> tuple[int, list[tuple[int, ...]], int, int]:
     """Search all canonical sets whose smallest non-identity element is `first`."""
     dt, inv, n, s, slack, prune, stop_after_first, require_inverse = _STATE
+    halt = _HALT
+    if halt is not None and halt.value:
+        return first, [], 0, 0
     counts = [0] * n
     finds: list[tuple[int, ...]] = []
     examined = 0
@@ -144,7 +154,8 @@ def _search_partition(first: int) -> tuple[int, list[tuple[int, ...]], int, int]
                                 return True
                 else:
                     partial.append(x)
-                    stop = extend(exc, x + 1)
+                    # Between second-level subtrees, give up once the pool is halted.
+                    stop = extend(exc, x + 1) or (size == 2 and halt is not None and halt.value)
                     partial.pop()
                     if stop:
                         for d in added:
@@ -227,13 +238,18 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
                     break
         else:
             workers = min(config.worker_count, len(firsts))
-            with multiprocessing.Pool(
-                workers, initializer=_set_state, initargs=(state,)
-            ) as pool:
+            halt = multiprocessing.RawValue("b", 0)
+            pool = multiprocessing.Pool(workers, initializer=_set_state, initargs=(state, halt))
+            try:
                 for result in pool.imap(_search_partition, firsts, chunksize=1):
                     if consume(result):
-                        pool.terminate()
                         break
+            finally:
+                # Stop cooperatively and never terminate(): killing a worker
+                # that holds the result queue's lock hangs the pool's shutdown.
+                halt.value = 1
+                pool.close()
+                pool.join()
 
     exhausted = done == len(firsts) and config.resume_from <= 1
     if target is not None:
@@ -267,7 +283,11 @@ def exists_covering_set(config: SearchConfig) -> SearchOutcome:
 
 
 def sweep_family(groups, size: int, **config_kwargs) -> list[SweepRow]:
-    """Run exists_covering_set over a family; per-group errors do not stop the sweep."""
+    """Run exists_covering_set over a family.
+
+    A bad spec, invalid configuration or oversized group becomes an error row
+    and the sweep goes on; any other error propagates.
+    """
     from .groups import parse_group_spec
 
     rows = []
@@ -285,10 +305,11 @@ def sweep_family(groups, size: int, **config_kwargs) -> list[SweepRow]:
                     found=bool(outcome.found),
                     witness=witness,
                     error=None,
+                    error_code=None,
                     wall_time_ms=outcome.wall_time_ms,
                 )
             )
-        except Exception as exc:  # noqa: BLE001 - sweep must survive bad entries
+        except (UsageError, ValidationError, CapacityError) as exc:
             rows.append(
                 SweepRow(
                     spec=spec,
@@ -296,6 +317,7 @@ def sweep_family(groups, size: int, **config_kwargs) -> list[SweepRow]:
                     found=None,
                     witness=None,
                     error=str(exc),
+                    error_code=exc.exit_code,
                     wall_time_ms=int((time.monotonic() - t0) * 1000),
                 )
             )

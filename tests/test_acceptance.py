@@ -1,40 +1,22 @@
 """Acceptance criteria, one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-ledger.  Budgets are asserted at the values stated in the criteria.
+ledger.  Budgets are asserted at the values stated in the criteria.  The
+paper's facts live in `bigraphds.ledger`; criteria 1-8 and 11 run the ledger
+checks they cover, and criteria 9 and 10 are oracle sweeps of their own.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import time
 
-from bigraphds.bigraph import build_difference_graph, diameter, verify_biregular
-from bigraphds.bounds import bound_report, improved_moore_bound, render_table
-from bigraphds.cli import _check_bimoore
-from bigraphds.diffsets import (
-    ADS,
-    PERFECT,
-    CandidateSet,
-    classify_set,
-    inverse_set,
-    parse_word,
-)
-from bigraphds.groups import (
-    abelian_order40_groups,
-    build_cyclic,
-    build_semidirect,
-    nonabelian_order42_groups,
-)
-from bigraphds.search import (
-    SearchConfig,
-    enumerate_covering_sets,
-    exists_covering_set,
-    sweep_family,
-)
-from bigraphds.singer import PUBLISHED_PERFECT_SETS, singer_set
+from bigraphds import ledger
+from bigraphds.bigraph import build_difference_graph, diameter
+from bigraphds.diffsets import CandidateSet, classify_set
+from bigraphds.groups import build_cyclic
+from bigraphds.search import SearchConfig, enumerate_covering_sets
 
 WORKERS = min(os.cpu_count() or 1, 8)
 
@@ -46,174 +28,46 @@ def _record(num: int, ok: bool, detail: str, elapsed: float, budget: float) -> N
     assert elapsed < budget, f"criterion {num} exceeded budget: {elapsed:.2f}s >= {budget}s"
 
 
-def eq5_oracle(r: int, s: int) -> int:
-    """Direct transcription of the diameter-3 bound formula."""
-    g = math.gcd(r, s)
-    rho, sigma = r // g, s // g
-    return (1 + s * (r - 1)) // rho * (rho + sigma)
+def _ledger_criterion(num: int, names: list[str], budget: float) -> None:
+    t0 = time.perf_counter()
+    results = [ledger.run_check(name, WORKERS) for name in names]
+    detail = "; ".join(f"{r.name}: {r.detail}" for r in results)
+    _record(num, all(r.ok for r in results), detail, time.perf_counter() - t0, budget)
 
 
 def test_criterion_1_table1_reproduction():
-    t0 = time.perf_counter()
-    anchored = {
-        (4, 3): 14,
-        (5, 3): 16,
-        (6, 3): 24,
-        (8, 4): 42,
-        (10, 5): 69,
-        (10, 6): 88,
-        (12, 12): 266,
-    }
-    ok = all(bound_report(r, s).moore == anchored[(r, s)] for r, s in anchored)
-    for r in range(2, 13):
-        for s in range(2, r + 1):
-            ok = ok and bound_report(r, s).moore == eq5_oracle(r, s)
-    table = render_table("moore", 12, 12, "csv")
-    rows = {line.split(",")[0]: line.split(",") for line in table.strip().splitlines()[1:]}
-    for r in range(2, 13):
-        for s in range(2, r + 1):
-            ok = ok and rows[str(r)][s - 1] == str(eq5_oracle(r, s))
-    _record(1, ok, "Table 1 Moore grid matches the closed formula", time.perf_counter() - t0, 1.0)
+    _ledger_criterion(1, ["table1-moore-values"], 1.0)
 
 
 def test_criterion_2_table2_reproduction():
-    t0 = time.perf_counter()
-    expected = {
-        (3, 6): 21,
-        (3, 9): 28,
-        (4, 12): 56,
-        (4, 16): 70,
-        (4, 20): 84,
-        (4, 24): 98,
-        (4, 28): 112,
-        (4, 32): 126,
-        (4, 36): 140,
-        (5, 20): 115,
-        (5, 25): 138,
-        (5, 30): 161,
-        (5, 35): 184,
-    }
-    ok = True
-    for s in range(2, 6):
-        for r in range(2, 37):
-            improved = improved_moore_bound(r // s, s) if r % s == 0 else None
-            got = improved.value if improved else None
-            ok = ok and got == expected.get((s, r))
-    _record(2, ok, "Table 2 improved grid: 13 values, dashes elsewhere", time.perf_counter() - t0, 1.0)
+    _ledger_criterion(2, ["table2-improved-values"], 1.0)
 
 
 def test_criterion_3_table3_validation():
-    t0 = time.perf_counter()
-    ok = len(PUBLISHED_PERFECT_SETS) == 8
-    for s, (n, elems) in PUBLISHED_PERFECT_SETS.items():
-        cls = classify_set(CandidateSet(build_cyclic(n), elems))
-        ok = ok and cls.verdict == PERFECT and (cls.n, cls.s, cls.lam) == (n, s, 1)
-    _record(3, ok, "8 published perfect sets classify Perfect(n,s,1)", time.perf_counter() - t0, 1.0)
+    _ledger_criterion(3, ["table3-published-perfect-sets"], 1.0)
 
 
 def test_criterion_4_singer_generation():
-    t0 = time.perf_counter()
-    ok = True
-    for q in (2, 3, 4, 5, 7, 8, 9, 11):
-        ss = singer_set(q)
-        ok = ok and ss.set.size == q + 1 and ss.n == q * q + q + 1
-        ok = ok and ss.classification.verdict == PERFECT
-    ok = ok and singer_set(3, modulus=(1, 1, 2, 1)).set.elements == (0, 1, 4, 6)
-    _record(4, ok, "singer q in {2,3,4,5,7,8,9,11} perfect; published cubic gives {0,1,4,6}", time.perf_counter() - t0, 5.0)
+    _ledger_criterion(4, ["singer-generation"], 5.0)
 
 
 def test_criterion_5_graph_checks():
-    t0 = time.perf_counter()
-    checks = [
-        (7, (0, 1, 3), 2, 21, (6, 3)),
-        (13, (0, 1, 3, 9), 2, 39, (8, 4)),
-        (7, (0, 1, 3), 1, 14, (3, 3)),
-    ]
-    ok = True
-    for n, elems, m, vertices, degrees in checks:
-        graph = build_difference_graph(CandidateSet(build_cyclic(n), elems), m)
-        check = verify_biregular(graph)
-        ok = ok and graph.vertex_count == vertices
-        ok = ok and check.ok and check.degrees == degrees
-        ok = ok and diameter(graph).diameter == 3
-    _record(5, ok, "G_2/Z7, G_2/Z13, G_1/Z7 have the published orders, degrees, diameter 3", time.perf_counter() - t0, 5.0)
+    names = ["figure2-graph-over-z7", "figure3-graph-over-z13", "pg22-incidence-graph"]
+    _ledger_criterion(5, names, 5.0)
 
 
 def test_criterion_6_bimoore_confirmation():
-    t0 = time.perf_counter()
-    ok = True
-    for m in (2, 3):
-        graph = build_difference_graph(CandidateSet(build_cyclic(7), (0, 1, 3)), m)
-        improved = improved_moore_bound(m, 3)
-        ok = ok and improved is not None and graph.vertex_count == 7 * (m + 1) == improved.value
-    ledger_ok, _ = _check_bimoore()
-    ok = ok and ledger_ok
-    _record(6, ok, "order of G_m({0,1,3}) attains (s^2-2)(m+1) for m in {2,3}; repro ledger agrees", time.perf_counter() - t0, 1.0)
+    _ledger_criterion(6, ["bimoore-orders-match-improved-bound"], 1.0)
 
 
 def test_criterion_7_abelian_search_reproduction():
-    t0 = time.perf_counter()
-    ok = True
-    empty_groups = [
-        build_cyclic(42),
-        build_cyclic(41),
-        *abelian_order40_groups(),
-    ]
-    for group in empty_groups:
-        out = enumerate_covering_sets(SearchConfig(group, 7, worker_count=WORKERS))
-        ok = ok and out.exhausted and not out.found
-        ok = ok and out.wall_time_ms < 15 * 60 * 1000
-    z39 = enumerate_covering_sets(SearchConfig(build_cyclic(39), 7, worker_count=WORKERS))
-    witness = (0, 1, 2, 4, 13, 18, 33)
-    ok = ok and z39.exhausted and witness in [f.elements for f in z39.found]
-    t_witness = time.perf_counter()
-    cls = classify_set(CandidateSet(build_cyclic(39), witness))
-    ok = ok and cls.is_covering and time.perf_counter() - t_witness < 1.0
-    _record(
-        7,
-        ok,
-        f"orders 42/41/40 exhausted empty; Z39 has {len(z39.found)} finds incl. the witness",
-        time.perf_counter() - t0,
-        6 * 15 * 60.0,
-    )
+    names = ["abelian-40-41-42-searches", "z39-enumeration", "z39-ads-witness"]
+    _ledger_criterion(7, names, 6 * 15 * 60.0)
 
 
 def test_criterion_8_nonabelian_search_reproduction():
-    t0 = time.perf_counter()
-    rows = sweep_family(nonabelian_order42_groups(), 7, worker_count=WORKERS)
-    ok = all(row.found is False for row in rows)
-
-    gamma1 = build_semidirect(5, 8, 2)
-    found = exists_covering_set(
-        SearchConfig(gamma1, 7, require_inverse_covering=True, worker_count=WORKERS)
-    )
-    ok = ok and bool(found.found)
-
-    t_cls = time.perf_counter()
-    words = ["1", "b", "b^4", "b*a", "b*a^-1*b^2", "a*b^-1", "b*a*b^2"]
-    cand = CandidateSet(gamma1, tuple(parse_word(gamma1, w) for w in words))
-    cls = classify_set(cand)
-    ok = ok and cls.verdict == ADS and (cls.n, cls.s, cls.lam, cls.t) == (40, 7, 1, 36)
-    doubled = cls.repeated
-    b4 = gamma1.power(gamma1.generators["b"], 4)
-    involutions = [g for g in doubled if gamma1.element_orders[g] == 2]
-    pair = [g for g in doubled if gamma1.element_orders[g] != 2]
-    ok = ok and len(doubled) == 3 and involutions == [b4]
-    ok = ok and len(pair) == 2 and gamma1.inv[pair[0]] == pair[1]
-    ok = ok and classify_set(inverse_set(cand)).is_covering
-    ok = ok and time.perf_counter() - t_cls < 1.0
-
-    graph = build_difference_graph(cand, 2)
-    check = verify_biregular(graph)
-    ok = ok and graph.vertex_count == 120 and check.degrees == (14, 7)
-    ok = ok and diameter(graph).diameter == 3
-    _record(
-        8,
-        ok,
-        "5 non-Abelian order-42 groups empty; Gamma_1 finds; published set is ADS(40,7,1,36) with the published repeat shape; G_2 checks out",
-        time.perf_counter() - t0,
-        6 * 15 * 60.0,
-    )
+    names = ["nonabelian-42-sweep", "gamma1-inverse-covering-search", "gamma1-ads-and-graph"]
+    _ledger_criterion(8, names, 6 * 15 * 60.0)
 
 
 def test_criterion_9_pruning_safety():
@@ -246,10 +100,4 @@ def test_criterion_10_diameter_covering_equivalence():
 
 
 def test_criterion_11_prop5_law():
-    t0 = time.perf_counter()
-    out = enumerate_covering_sets(SearchConfig(build_cyclic(6), 3))
-    ok = bool(out.found)
-    for f in out.found:
-        counts = f.classification.histogram
-        ok = ok and counts == {1: 4, 2: 1} and f.classification.repeated == (3,)
-    _record(11, ok, f"every covering 3-set of Z6 ({len(out.found)} total) doubles only the involution 3", time.perf_counter() - t0, 1.0)
+    _ledger_criterion(11, ["z6-doubled-element-is-the-involution"], 1.0)

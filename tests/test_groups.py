@@ -112,6 +112,12 @@ def test_semidirect_gamma1_relation():
     assert g.involutions() == (b4,)
 
 
+def test_groups_with_generators_are_hashable():
+    g = build_semidirect(5, 8, 2)
+    assert hash(g) == hash(build_semidirect(5, 8, 2))
+    assert len({g, build_semidirect(5, 8, 2), build_cyclic(40)}) == 2
+
+
 def test_semidirect_trivial_action_is_direct_product():
     semi = build_semidirect(5, 8, 1)
     prod = build_direct_product(build_cyclic(5), build_cyclic(8))

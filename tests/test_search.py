@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import multiprocessing.pool
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bigraphds.diffsets import PERFECT, CandidateSet, classify_set, inverse_set
-from bigraphds.errors import ValidationError
+from bigraphds import search
+from bigraphds.errors import InternalError, ValidationError
 from bigraphds.groups import build_cyclic, build_semidirect
 from bigraphds.search import (
     SearchConfig,
@@ -155,6 +157,9 @@ def test_invalid_configs():
         SearchConfig(build_cyclic(7), 3, limit=0)
     with pytest.raises(ValidationError):
         SearchConfig(build_cyclic(7), 3, worker_count=0)
+    SearchConfig(build_cyclic(7), 3, resume_from=5)  # the last partition
+    with pytest.raises(ValidationError):
+        SearchConfig(build_cyclic(7), 3, resume_from=6)
 
 
 def test_whole_group_is_always_covering():
@@ -168,6 +173,27 @@ def test_sweep_family_mixed_specs_and_errors():
     assert rows[1].found is False and rows[1].error is None  # 3*2 < 11
     assert rows[2].found is None and rows[2].error
     assert [r.spec for r in rows] == ["cyclic:6", "cyclic:12", "cyclic:0"]
+
+
+def test_sweep_family_propagates_internal_errors(monkeypatch):
+    def broken(config):
+        raise InternalError("search invariant failed")
+
+    monkeypatch.setattr(search, "exists_covering_set", broken)
+    with pytest.raises(InternalError):
+        sweep_family(["cyclic:6"], 3)
+
+
+def test_early_exit_pool_stops_without_terminate(monkeypatch):
+    # Pool.terminate() can kill a worker holding the result queue's lock and
+    # then hang; an early exit must shut the pool down cooperatively.
+    def refuse(self):
+        raise AssertionError("Pool.terminate() was called")
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", refuse)
+    for _ in range(3):
+        out = exists_covering_set(SearchConfig(build_semidirect(5, 8, 2), 7, worker_count=2))
+        assert out.found[0].elements == (0, 1, 4, 9, 11, 21, 27) and not out.exhausted
 
 
 def test_sweep_family_z39_witness():
