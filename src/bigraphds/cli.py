@@ -343,6 +343,11 @@ _HANDLERS = {
 }
 
 
+# A handler that returns a non-zero code names its failure by the error class
+# with that exit code; code 1 is a failed check.
+_FAILURE_TYPES = {cls.exit_code: cls.__name__ for cls in BigraphdsError.__subclasses__()}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -370,10 +375,9 @@ def main(argv=None) -> int:
             "wall_time_ms": int((time.monotonic() - t0) * 1000),
         }
         if code != 0:
-            failed = "reproduction checks" if args.command == "repro" else "sweep rows"
             envelope["error"] = {
-                "type": "CheckFailure",
-                "message": f"one or more {failed} failed",
+                "type": _FAILURE_TYPES.get(code, "CheckFailure"),
+                "message": "one or more checks or rows failed",
             }
         print(json.dumps(envelope, indent=2, sort_keys=True))
     elif human:

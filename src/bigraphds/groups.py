@@ -278,7 +278,7 @@ def load_cayley_table(path: str | Path) -> Group:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read Cayley table {p}: {exc}") from exc
     return parse_cayley_table(text, name=p.stem)
 

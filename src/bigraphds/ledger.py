@@ -16,6 +16,7 @@ from functools import partial
 from . import bigraph, bounds, diffsets, groups, search, singer
 
 Z39_WITNESS = (0, 1, 2, 4, 13, 18, 33)
+SEARCH_BUDGET_MS = 15 * 60 * 1000  # each order-39..42 search must finish within 15 minutes
 
 
 @dataclass(frozen=True)
@@ -171,14 +172,18 @@ def _gamma1() -> tuple[bool, str]:
 def _abelian_searches(workers: int) -> tuple[bool, str]:
     for group in [groups.build_cyclic(42), groups.build_cyclic(41), *groups.abelian_order40_groups()]:
         out = search.enumerate_covering_sets(search.SearchConfig(group, 7, worker_count=workers))
-        if out.found or not out.exhausted:
-            return False, f"{group.name}: found {len(out.found)}, exhausted={out.exhausted}"
-    return True, "orders 42, 41, 40 (all Abelian groups) exhausted with zero finds"
+        if out.found or not out.exhausted or out.wall_time_ms >= SEARCH_BUDGET_MS:
+            return False, (
+                f"{group.name}: found {len(out.found)}, exhausted={out.exhausted}, {out.wall_time_ms} ms"
+            )
+    return True, "orders 42, 41, 40 (all Abelian groups) exhausted with zero finds, each within budget"
 
 
 def _z39_enumeration(workers: int) -> tuple[bool, str]:
     group = groups.build_cyclic(39)
     out = search.enumerate_covering_sets(search.SearchConfig(group, 7, worker_count=workers))
+    if out.wall_time_ms >= SEARCH_BUDGET_MS:
+        return False, f"Z39 enumeration took {out.wall_time_ms} ms"
     if not out.exhausted or Z39_WITNESS not in [f.elements for f in out.found]:
         return False, f"exhausted={out.exhausted}; published Z39 set missing from the enumeration"
     if not diffsets.classify_set(diffsets.CandidateSet(group, Z39_WITNESS)).is_covering:
@@ -188,7 +193,7 @@ def _z39_enumeration(workers: int) -> tuple[bool, str]:
 
 def _nonabelian_sweep(workers: int) -> tuple[bool, str]:
     rows = search.sweep_family(groups.nonabelian_order42_groups(), 7, worker_count=workers)
-    bad = [row.spec for row in rows if row.found is not False]
+    bad = [row.spec for row in rows if row.found is not False or row.wall_time_ms >= SEARCH_BUDGET_MS]
     if bad:
         return False, f"unexpected outcome for {bad}"
     return True, "all five non-Abelian order-42 groups have no covering 7-set"
@@ -200,8 +205,8 @@ def _gamma1_search(workers: int) -> tuple[bool, str]:
             groups.build_semidirect(5, 8, 2), 7, require_inverse_covering=True, worker_count=workers
         )
     )
-    if not out.found:
-        return False, "no covering set with covering inverse found"
+    if not out.found or out.wall_time_ms >= SEARCH_BUDGET_MS:
+        return False, f"no covering set with covering inverse found within budget ({out.wall_time_ms} ms)"
     return True, f"witness {list(out.found[0].elements)}"
 
 

@@ -13,7 +13,7 @@ def test_sweep_exits_with_first_error_row_code(capsys):
     assert "cyclic:2000: ERROR" in capsys.readouterr().out
     assert main(["sweep", "--groups", "cyclic:2000", "cyclic:6", "--size", "3", "--json"]) == 4
     envelope = json.loads(capsys.readouterr().out)
-    assert envelope["exit_code"] == 4 and envelope["error"]["type"] == "CheckFailure"
+    assert envelope["exit_code"] == 4 and envelope["error"]["type"] == "CapacityError"
     assert [row["error_code"] for row in envelope["payload"]["results"]] == [4, None]
 
 
@@ -27,3 +27,12 @@ def test_graph_out_without_format_is_usage_error(tmp_path):
     argv = ["graph", "--group", "cyclic:7", "--set", "0,1,3", "--m", "2", "--out", str(out)]
     assert main(argv) == 2
     assert not out.exists()
+
+
+def test_sweep_of_a_non_utf8_table_is_a_validation_error(tmp_path, capsys):
+    table = tmp_path / "table.txt"
+    table.write_bytes(b"0 1\n1 \xff\n")
+    assert main(["sweep", "--groups", f"file:{table}", "cyclic:6", "--size", "2", "--json"]) == 3
+    envelope = json.loads(capsys.readouterr().out)
+    assert envelope["error"]["type"] == "ValidationError"
+    assert [row["error_code"] for row in envelope["payload"]["results"]] == [3, None]

@@ -184,6 +184,23 @@ def test_sweep_family_propagates_internal_errors(monkeypatch):
         sweep_family(["cyclic:6"], 3)
 
 
+def test_sweep_family_non_utf8_table_is_an_error_row(tmp_path):
+    table = tmp_path / "table.txt"
+    table.write_bytes(b"0 1\n1 \xff\n")
+    rows = sweep_family([f"file:{table}", "cyclic:6"], 3)
+    assert rows[0].error_code == ValidationError.exit_code and "cannot read" in rows[0].error
+    assert rows[1].found is True
+
+
+def test_ledger_search_fails_past_its_time_budget(monkeypatch):
+    from bigraphds import ledger
+
+    slow = search.SearchOutcome("Z", 7, 0, (), 0, 0, True, ledger.SEARCH_BUDGET_MS)
+    monkeypatch.setattr(search, "enumerate_covering_sets", lambda config: slow)
+    result = ledger.run_check("abelian-40-41-42-searches")
+    assert not result.ok and f"{ledger.SEARCH_BUDGET_MS} ms" in result.detail
+
+
 def test_early_exit_pool_stops_without_terminate(monkeypatch):
     # Pool.terminate() can kill a worker holding the result queue's lock and
     # then hang; an early exit must shut the pool down cooperatively.
