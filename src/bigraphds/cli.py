@@ -183,6 +183,7 @@ def _search_config(args, group) -> search.SearchConfig:
 
 def _cmd_search(args) -> tuple[dict, str, int]:
     _require(args.size >= 2, f"--size must be >= 2, got {args.size}")
+    _require(args.workers >= 1, f"--workers must be >= 1, got {args.workers}")
     group = groups.parse_group_spec(args.group)
     config = _search_config(args, group)
     run = search.exists_covering_set if args.exists_only else search.enumerate_covering_sets
@@ -207,6 +208,7 @@ def _cmd_search(args) -> tuple[dict, str, int]:
 
 def _cmd_sweep(args) -> tuple[dict, str, int]:
     _require(args.size >= 2, f"--size must be >= 2, got {args.size}")
+    _require(args.workers >= 1, f"--workers must be >= 1, got {args.workers}")
     rows = search.sweep_family(
         args.groups,
         args.size,
@@ -239,6 +241,7 @@ def _cmd_validate_group(args) -> tuple[dict, str, int]:
 
 
 def _cmd_repro(args) -> tuple[dict, str, int]:
+    _require(args.workers >= 1, f"--workers must be >= 1, got {args.workers}")
     results = ledger.run(full=args.full, workers=args.workers)
     all_ok = all(r.ok for r in results)
     lines = [f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}" for r in results]
@@ -302,11 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--require-inverse-covering", action="store_true")
     p.add_argument("--exists-only", action="store_true")
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=int,
+                   help="keep the first N sets; the search still runs to the end")
     p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--no-prune", action="store_true")
     p.add_argument("--resume-from", type=int, default=1, metavar="K",
-                   help="skip partitions whose first element is below K")
+                   help="start at partition K, the sets (0, 1, K+1, ...)")
     p.add_argument("--report-interval", type=int, default=0,
                    help="progress line every N completed partitions")
     add_json(p)

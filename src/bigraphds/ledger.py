@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import bigraph, bounds, diffsets, groups, search, singer
+from .errors import InternalError
 
 Z39_WITNESS = (0, 1, 2, 4, 13, 18, 33)
 SEARCH_BUDGET_MS = 15 * 60 * 1000  # each order-39..42 search must finish within 15 minutes
@@ -230,10 +231,12 @@ CHECKS = (
 
 
 def run_check(name: str, workers: int = 1) -> CheckResult:
-    """Run one named check; a crash counts as a failed check."""
+    """Run one named check; a crash counts as a failed check, an InternalError propagates."""
     check, full_only = next((c, f) for n, c, f in CHECKS if n == name)
     try:
         ok, detail = check(workers) if full_only else check()
+    except InternalError:
+        raise
     except Exception as exc:  # noqa: BLE001 - a crash is a failed check
         ok, detail = False, f"crashed: {exc}"
     return CheckResult(name, ok, detail)

@@ -10,9 +10,21 @@ the full profile automatically charges a doubled non-involution twice (its
 inverse doubles with it), which is what rules out most candidates early when
 the slack is small.
 
-Work is partitioned by the smallest non-identity element of the candidate,
-each partition is searched independently (optionally in parallel), and
-results are merged in partition order, so output is deterministic for any
+The search is anchored on the pair {0, 1}.  If S is covering, the element 1
+is a difference t_i t_j^-1 of S, so the right translate S t_j^-1 contains
+both the identity and 1.  Only the anchored sets (0, 1, ...) are searched:
+they decide existence, and the lexicographically least canonical covering
+set is one of them.  The full enumeration expands each anchored find S into
+its translates S t^-1 for t in S, the canonical sets it stands for, then
+deduplicates and sorts them; a limit cuts that list, so it does not stop the
+search early.  The inverse set of S t^-1 is a left translate of the inverse
+of S, whose differences are conjugates, so the expansion keeps the
+covering-inverse property too.
+
+Work is partitioned by the third element: partition K holds the anchored
+sets whose third element is K + 1, for K = 1..n-s+1 (for size 2 the only
+partition is (0, 1)).  Partitions are searched independently (optionally in
+parallel) and merged in partition order, so output is deterministic for any
 worker count.
 """
 
@@ -50,11 +62,19 @@ class SearchConfig:
             raise ValidationError(f"limit must be >= 1 when present, got {self.limit}")
         if self.worker_count < 1:
             raise ValidationError(f"worker count must be >= 1, got {self.worker_count}")
-        last = self.group.order - self.size + 1
-        if self.resume_from > last:
+        if self.resume_from < 1:
+            raise ValidationError(f"resume point must be >= 1, got {self.resume_from}")
+        if self.resume_from > self.partitions:
             raise ValidationError(
-                f"resume point {self.resume_from} is past the last partition {last}"
+                f"resume point {self.resume_from} is past the last partition {self.partitions}"
             )
+        if self.report_interval < 0:
+            raise ValidationError(f"report interval must be >= 0, got {self.report_interval}")
+
+    @property
+    def partitions(self) -> int:
+        """Number of partitions: one per third element, or just (0, 1) for size 2."""
+        return self.group.order - self.size + 1 if self.size > 2 else 1
 
 
 @dataclass(frozen=True)
@@ -73,6 +93,9 @@ class SearchOutcome:
     candidates_pruned: int
     exhausted: bool
     wall_time_ms: int
+    # Indexed by the size of the candidate set; each sums to the total above.
+    examined_by_depth: tuple[int, ...] = ()
+    pruned_by_depth: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -104,24 +127,32 @@ def _inverse_is_covering(elems: tuple[int, ...], dt, inv, n: int) -> bool:
     return len(covered) == n - 1
 
 
-def _search_partition(first: int) -> tuple[int, list[tuple[int, ...]], int, int]:
-    """Search all canonical sets whose smallest non-identity element is `first`."""
+def _search_partition(k: int) -> tuple[int, list[tuple[int, ...]], list[int], list[int]]:
+    """Search the anchored sets (0, 1, k + 1, ...); for size 2, the set (0, 1).
+
+    Returns the finds in lexicographic order and the examined and pruned
+    counts indexed by the size of the candidate set.
+    """
     dt, inv, n, s, slack, prune, stop_after_first, require_inverse = _STATE
     halt = _HALT
-    if halt is not None and halt.value:
-        return first, [], 0, 0
-    counts = [0] * n
+    examined = [0] * (s + 1)
+    pruned = [0] * (s + 1)
     finds: list[tuple[int, ...]] = []
-    examined = 0
-    pruned = 0
+    if halt is not None and halt.value:
+        return k, finds, examined, pruned
+    counts = [0] * n
     partial = [0]
+    # The element added at each of these sizes is fixed: the anchor 1, then
+    # this partition's third element.
+    forced = (None, 1, k + 1)[:s]
 
     def extend(excess: int, start: int) -> bool:
-        nonlocal examined, pruned
         size = len(partial)
-        need = s - size
-        for x in range(start, n - need + 1):
-            examined += 1
+        xs = (forced[size],) if size < len(forced) else range(start, n - s + size + 1)
+        ex = pr = 0
+        stop = False
+        for x in xs:
+            ex += 1
             rowx = dt[x]
             exc = excess
             added = []
@@ -142,50 +173,29 @@ def _search_partition(first: int) -> tuple[int, list[tuple[int, ...]], int, int]
                 if prune and exc > slack:
                     rejected = True
                     break
-            if not rejected:
-                if size + 1 == s:
-                    if exc <= slack:
-                        elems = (*partial, x)
-                        if not require_inverse or _inverse_is_covering(elems, dt, inv, n):
-                            finds.append(elems)
-                            if stop_after_first:
-                                for d in added:
-                                    counts[d] -= 1
-                                return True
-                else:
-                    partial.append(x)
-                    # Between second-level subtrees, give up once the pool is halted.
-                    stop = extend(exc, x + 1) or (size == 2 and halt is not None and halt.value)
-                    partial.pop()
-                    if stop:
-                        for d in added:
-                            counts[d] -= 1
-                        return True
-            else:
-                pruned += 1
+            if rejected:
+                pr += 1
+            elif size + 1 < s:
+                partial.append(x)
+                # Between fourth-level subtrees, give up once the pool is halted.
+                stop = extend(exc, x + 1) or (size == 3 and halt is not None and halt.value)
+                partial.pop()
+            elif exc <= slack:
+                elems = (*partial, x)
+                if not require_inverse or _inverse_is_covering(elems, dt, inv, n):
+                    finds.append(elems)
+                    stop = stop_after_first
             for d in added:
                 counts[d] -= 1
-        return False
+            if stop:
+                break
+        # Counted per frame: a list update per node would sit in the hottest loop.
+        examined[size + 1] += ex
+        pruned[size + 1] += pr
+        return stop
 
-    # Seed the partition with its first element.
-    rowf = dt[first]
-    excess = 0
-    for d in (rowf[0], dt[0][first]):
-        if counts[d]:
-            excess += 1
-        counts[d] += 1
-    examined += 1
-    if prune and excess > slack:
-        pruned += 1
-    elif s == 2:
-        if excess <= slack:
-            elems = (0, first)
-            if not require_inverse or _inverse_is_covering(elems, dt, inv, n):
-                finds.append(elems)
-    else:
-        partial.append(first)
-        extend(excess, first + 1)
-    return first, finds, examined, pruned
+    extend(0, 1)
+    return k, finds, examined, pruned
 
 
 def _difference_table(group: Group) -> list[list[int]]:
@@ -198,8 +208,9 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
     group = config.group
     n, s = group.order, config.size
     slack = s * (s - 1) - (n - 1)
+    dt = _difference_table(group)
     state = (
-        _difference_table(group),
+        dt,
         tuple(group.inv),
         n,
         s,
@@ -208,40 +219,42 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
         stop_on_find,
         config.require_inverse_covering,
     )
-    firsts = list(range(max(1, config.resume_from), n - s + 2))
-    target = 1 if stop_on_find else config.limit
+    todo = list(range(config.resume_from, config.partitions + 1))
 
     raw_finds: list[tuple[int, ...]] = []
-    examined = pruned = done = 0
+    examined = [0] * (s + 1)
+    pruned = [0] * (s + 1)
+    done = 0
 
-    def consume(result: tuple[int, list[tuple[int, ...]], int, int]) -> bool:
-        nonlocal examined, pruned, done
-        first, finds, ex, pr = result
-        examined += ex
-        pruned += pr
+    def consume(result: tuple[int, list[tuple[int, ...]], list[int], list[int]]) -> bool:
+        nonlocal done
+        k, finds, ex, pr = result
+        for size in range(s + 1):
+            examined[size] += ex[size]
+            pruned[size] += pr[size]
         raw_finds.extend(finds)
         done += 1
-        if config.report_interval and (done % config.report_interval == 0 or done == len(firsts)):
+        if config.report_interval and (done % config.report_interval == 0 or done == len(todo)):
             print(
-                f"[search {group.name} s={s}] last completed partition {first} "
-                f"({done}/{len(firsts)}), finds so far: {len(raw_finds)}",
+                f"[search {group.name} s={s}] last completed partition {k} "
+                f"({done}/{len(todo)}), anchored finds so far: {len(raw_finds)}",
                 file=sys.stderr,
                 flush=True,
             )
-        return target is not None and len(raw_finds) >= target
+        return stop_on_find and bool(raw_finds)
 
-    if firsts:
-        if config.worker_count == 1 or len(firsts) == 1:
+    if todo:
+        if config.worker_count == 1 or len(todo) == 1:
             _set_state(state)
-            for f in firsts:
-                if consume(_search_partition(f)):
+            for k in todo:
+                if consume(_search_partition(k)):
                     break
         else:
-            workers = min(config.worker_count, len(firsts))
+            workers = min(config.worker_count, len(todo))
             halt = multiprocessing.RawValue("b", 0)
             pool = multiprocessing.Pool(workers, initializer=_set_state, initargs=(state, halt))
             try:
-                for result in pool.imap(_search_partition, firsts, chunksize=1):
+                for result in pool.imap(_search_partition, todo, chunksize=1):
                     if consume(result):
                         break
             finally:
@@ -251,11 +264,16 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
                 pool.close()
                 pool.join()
 
-    exhausted = done == len(firsts) and config.resume_from <= 1
-    if target is not None:
-        raw_finds = raw_finds[:target]
+    # An existence search that stopped at its witness left the rest unsearched.
+    exhausted = done == len(todo) and config.resume_from == 1 and not (stop_on_find and raw_finds)
+    if stop_on_find:
+        sets = raw_finds[:1]
+    else:
+        # An anchored find S stands for its translates S t^-1, t in S.
+        translates = {tuple(sorted(dt[x][t] for x in elems)) for elems in raw_finds for t in elems}
+        sets = sorted(translates)[: config.limit]
     found = []
-    for elems in raw_finds:
+    for elems in sets:
         cls = classify_set(CandidateSet(group, elems))
         if not cls.is_covering:
             raise InternalError(f"search reported a non-covering set {elems}")
@@ -265,10 +283,12 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
         size=s,
         slack=slack,
         found=tuple(found),
-        candidates_examined=examined,
-        candidates_pruned=pruned,
+        candidates_examined=sum(examined),
+        candidates_pruned=sum(pruned),
         exhausted=exhausted,
         wall_time_ms=int((time.monotonic() - t0) * 1000),
+        examined_by_depth=tuple(examined),
+        pruned_by_depth=tuple(pruned),
     )
 
 

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
+import pytest
+
+from bigraphds import ledger, search
 from bigraphds.cli import main
+from bigraphds.diffsets import NON_COVERING
+from bigraphds.errors import InternalError
 
 
 def test_sweep_exits_with_first_error_row_code(capsys):
@@ -36,3 +42,30 @@ def test_sweep_of_a_non_utf8_table_is_a_validation_error(tmp_path, capsys):
     envelope = json.loads(capsys.readouterr().out)
     assert envelope["error"]["type"] == "ValidationError"
     assert [row["error_code"] for row in envelope["payload"]["results"]] == [3, None]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--group", "cyclic:7", "--size", "3"],
+        ["sweep", "--groups", "cyclic:7", "--size", "3"],
+        ["repro", "--full"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_zero_workers_is_usage_error(argv, capsys):
+    assert main([*argv, "--workers", "0"]) == 2
+    assert "--workers must be >= 1" in capsys.readouterr().err
+
+
+def test_repro_internal_error_exits_5(monkeypatch, capsys):
+    # A search whose output re-classifies as non-covering trips its guard;
+    # the ledger must not turn that into an ordinary failed check.
+    real = search.classify_set
+    monkeypatch.setattr(
+        search, "classify_set", lambda cand: dataclasses.replace(real(cand), verdict=NON_COVERING)
+    )
+    with pytest.raises(InternalError):
+        ledger.run_check("z6-doubled-element-is-the-involution")
+    assert main(["repro", "--workers", "1"]) == 5
+    assert "non-covering set" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import multiprocessing.pool
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from bigraphds.diffsets import PERFECT, CandidateSet, classify_set, inverse_set
 from bigraphds import search
 from bigraphds.errors import InternalError, ValidationError
-from bigraphds.groups import build_cyclic, build_semidirect
+from bigraphds.groups import build_cyclic, build_direct_product, build_semidirect
 from bigraphds.search import (
     SearchConfig,
     enumerate_covering_sets,
@@ -122,12 +123,24 @@ def test_limit_caps_results_in_order():
     assert [f.elements for f in limited.found] == [f.elements for f in full.found][:3]
 
 
+def translates(group, elems):
+    """The right translates S t^-1, t in S, of a set, as sorted tuples."""
+    return {tuple(sorted(group.mul[x][group.inv[t]] for x in elems)) for t in elems}
+
+
 def test_resume_from_skips_partitions():
-    out = enumerate_covering_sets(SearchConfig(build_cyclic(7), 3, resume_from=2))
-    assert {f.elements for f in out.found} == {
-        t for t in Z7_PERFECT_TRIPLES if t[1] >= 2
-    }
+    # Partition K holds the anchored sets (0, 1, K + 1, ...).  From K = 3 on,
+    # Z7 has the one anchored find (0, 1, 5), output with its translates.
+    out = enumerate_covering_sets(SearchConfig(build_cyclic(7), 3, resume_from=3))
+    assert [f.elements for f in out.found] == [(0, 1, 5), (0, 2, 3), (0, 4, 6)]
     assert not out.exhausted
+    group = build_cyclic(21)
+    anchored = [e for e in oracle_covering_sets(group, 5) if e[:2] == (0, 1)]
+    for k in (2, 6):
+        out = enumerate_covering_sets(SearchConfig(group, 5, resume_from=k))
+        expected = sorted(set().union(*(translates(group, e) for e in anchored if e[2] >= k + 1)))
+        assert [f.elements for f in out.found] == expected
+        assert not out.exhausted
 
 
 def test_require_inverse_covering_is_noop_for_abelian():
@@ -160,6 +173,14 @@ def test_invalid_configs():
     SearchConfig(build_cyclic(7), 3, resume_from=5)  # the last partition
     with pytest.raises(ValidationError):
         SearchConfig(build_cyclic(7), 3, resume_from=6)
+    with pytest.raises(ValidationError):
+        SearchConfig(build_cyclic(7), 3, resume_from=0)
+    with pytest.raises(ValidationError):
+        SearchConfig(build_cyclic(7), 3, resume_from=-5)
+    with pytest.raises(ValidationError):
+        SearchConfig(build_cyclic(7), 3, report_interval=-1)
+    with pytest.raises(ValidationError):
+        SearchConfig(build_cyclic(7), 2, resume_from=2)  # size 2 has the one partition (0, 1)
 
 
 def test_whole_group_is_always_covering():
@@ -228,6 +249,69 @@ def test_progress_reporting_goes_to_stderr(capsys):
     captured = capsys.readouterr()
     assert "last completed partition" in captured.err
     assert captured.out == ""
+
+
+ORACLE_GROUPS = [build_cyclic(n) for n in range(3, 17)] + [
+    build_semidirect(3, 2, 2),  # S3
+    build_semidirect(7, 3, 2),  # Z7 x| Z3
+    build_semidirect(5, 4, 2),  # Z5 x| Z4
+    build_semidirect(5, 2, 4),  # D10
+    build_semidirect(3, 4, 2),  # Z3 x| Z4
+    build_direct_product(build_cyclic(2), build_cyclic(6)),
+]
+
+
+# Z7 x| Z3 at s = 6 has covering sets whose inverse set is not covering, so
+# only there do right and left translates of the anchored finds differ.
+ORACLE_CASES = [(g, range(2, min(5, g.order) + 1)) for g in ORACLE_GROUPS]
+ORACLE_CASES.append((build_semidirect(7, 3, 2), (6,)))
+
+
+@pytest.mark.parametrize(
+    "group,sizes", ORACLE_CASES, ids=[f"{g.name}-s{sz[0]}-{sz[-1]}" for g, sz in ORACLE_CASES]
+)
+def test_anchored_search_matches_brute_force(group, sizes):
+    # Brute force over every canonical set is the slow, obvious version of
+    # the anchored search and its expansion by translates.
+    for s in sizes:
+        covering = [e for e in oracle_covering_sets(group, s) if e[0] == 0]
+        for inverse in (False, True):
+            want = [
+                e for e in covering
+                if not inverse or classify_set(inverse_set(CandidateSet(group, e))).is_covering
+            ]
+            for workers in (1, 2):
+                config = SearchConfig(
+                    group, s, require_inverse_covering=inverse, worker_count=workers
+                )
+                out = enumerate_covering_sets(config)
+                assert [f.elements for f in out.found] == want and out.exhausted
+                witness = exists_covering_set(config)
+                assert [f.elements for f in witness.found] == want[:1]
+                assert witness.exhausted == (not want)
+
+
+def test_per_depth_counts_sum_to_totals():
+    group = build_cyclic(21)
+    solo = enumerate_covering_sets(SearchConfig(group, 5, worker_count=1))
+    duo = enumerate_covering_sets(SearchConfig(group, 5, worker_count=2))
+    for out in (solo, duo):
+        assert sum(out.examined_by_depth) == out.candidates_examined
+        assert sum(out.pruned_by_depth) == out.candidates_pruned
+    assert solo.examined_by_depth == duo.examined_by_depth
+    assert solo.pruned_by_depth == duo.pruned_by_depth
+    # indexed by candidate size: the anchor 1 and the third element are
+    # examined once in each of the 17 partitions
+    assert len(solo.examined_by_depth) == 6 and solo.examined_by_depth[:4] == (0, 0, 17, 17)
+
+
+def test_per_depth_counts_reach_the_json_payload(capsys):
+    from bigraphds.cli import main
+
+    assert main(["search", "--group", "cyclic:13", "--size", "4", "--workers", "1", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert sum(payload["examined_by_depth"]) == payload["candidates_examined"]
+    assert sum(payload["pruned_by_depth"]) == payload["candidates_pruned"]
 
 
 @settings(max_examples=20, deadline=None)
