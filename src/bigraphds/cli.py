@@ -19,16 +19,21 @@ from .errors import BigraphdsError, UsageError
 _WORKERS_ENV = "BIGRAPHDS_WORKERS"
 
 
-def _default_workers() -> int:
-    env = os.environ.get(_WORKERS_ENV)
-    if env and env.isdigit() and int(env) >= 1:
-        return int(env)
-    return os.cpu_count() or 1
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise UsageError(message)
+
+
+def _workers(args) -> int:
+    """``--workers``, else ``$BIGRAPHDS_WORKERS``, else the CPU count; each must be >= 1."""
+    if args.workers is not None:
+        _require(args.workers >= 1, f"--workers must be >= 1, got {args.workers}")
+        return args.workers
+    env = os.environ.get(_WORKERS_ENV)
+    if not env:
+        return os.cpu_count() or 1
+    _require(env.isdecimal() and int(env) >= 1, f"${_WORKERS_ENV} must be an integer >= 1, got {env!r}")
+    return int(env)
 
 
 # Payload keys that differ from the names of the dataclass fields they hold.
@@ -168,24 +173,19 @@ def _cmd_graph(args) -> tuple[dict, str, int]:
     return payload, "\n".join(lines), 0
 
 
-def _search_config(args, group) -> search.SearchConfig:
-    return search.SearchConfig(
-        group=group,
+def _cmd_search(args) -> tuple[dict, str, int]:
+    _require(args.size >= 2, f"--size must be >= 2, got {args.size}")
+    workers = _workers(args)
+    config = search.SearchConfig(
+        group=groups.parse_group_spec(args.group),
         size=args.size,
         require_inverse_covering=args.require_inverse_covering,
         limit=args.limit,
         prune=not args.no_prune,
-        worker_count=args.workers,
+        worker_count=workers,
         report_interval=args.report_interval,
         resume_from=args.resume_from,
     )
-
-
-def _cmd_search(args) -> tuple[dict, str, int]:
-    _require(args.size >= 2, f"--size must be >= 2, got {args.size}")
-    _require(args.workers >= 1, f"--workers must be >= 1, got {args.workers}")
-    group = groups.parse_group_spec(args.group)
-    config = _search_config(args, group)
     run = search.exists_covering_set if args.exists_only else search.enumerate_covering_sets
     out = run(config)
     payload = _jsonable(out)
@@ -208,12 +208,11 @@ def _cmd_search(args) -> tuple[dict, str, int]:
 
 def _cmd_sweep(args) -> tuple[dict, str, int]:
     _require(args.size >= 2, f"--size must be >= 2, got {args.size}")
-    _require(args.workers >= 1, f"--workers must be >= 1, got {args.workers}")
     rows = search.sweep_family(
         args.groups,
         args.size,
         require_inverse_covering=args.require_inverse_covering,
-        worker_count=args.workers,
+        worker_count=_workers(args),
     )
     payload = {"size": args.size, "results": _jsonable(rows)}
     lines = []
@@ -241,8 +240,7 @@ def _cmd_validate_group(args) -> tuple[dict, str, int]:
 
 
 def _cmd_repro(args) -> tuple[dict, str, int]:
-    _require(args.workers >= 1, f"--workers must be >= 1, got {args.workers}")
-    results = ledger.run(full=args.full, workers=args.workers)
+    results = ledger.run(full=args.full, workers=_workers(args))
     all_ok = all(r.ok for r in results)
     lines = [f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}" for r in results]
     lines.append("all checks passed" if all_ok else "SOME CHECKS FAILED")
@@ -307,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exists-only", action="store_true")
     p.add_argument("--limit", type=int,
                    help="keep the first N sets; the search still runs to the end")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int)
     p.add_argument("--no-prune", action="store_true")
     p.add_argument("--resume-from", type=int, default=1, metavar="K",
                    help="start at partition K, the sets (0, 1, K+1, ...)")
@@ -319,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", nargs="+", required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--require-inverse-covering", action="store_true")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int)
     add_json(p)
 
     p = sub.add_parser("validate-group", help="re-check the group axioms of a spec")
@@ -328,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro", help="run the reproduction checks and print a ledger")
     p.add_argument("--full", action="store_true", help="include the exhaustive searches")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int)
     add_json(p)
 
     return parser

@@ -7,12 +7,11 @@ for Abelian and non-Abelian groups.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 from .errors import CapacityError, UsageError, ValidationError
 
@@ -173,38 +172,46 @@ def format_cayley_table(g: Group) -> str:
 
 
 def _find_latin_violation(mul: Sequence[Sequence[int]]) -> tuple[int, int] | None:
-    n = len(mul)
-    for i in range(n):
-        seen: dict[int, int] = {}
-        for j, v in enumerate(mul[i]):
-            if v in seen:
-                return (i, j)
-            seen[v] = j
-    for j in range(n):
-        seen = {}
-        for i in range(n):
-            v = mul[i][j]
-            if v in seen:
-                return (i, j)
-            seen[v] = i
+    """First cell that repeats a value earlier in its row; failing that, in its column."""
+    for i, row in enumerate(mul):
+        if len(set(row)) < len(row):
+            return (i, next(j for j, v in enumerate(row) if v in row[:j]))
+    for j, col in enumerate(zip(*mul)):
+        if len(set(col)) < len(col):
+            return (next(i for i, v in enumerate(col) if v in col[:i]), j)
     return None
 
 
 def _find_associativity_violation(
     mul: Sequence[Sequence[int]],
 ) -> tuple[int, int, int] | None:
-    """First (i, j, k) with (i*j)*k != i*(j*k), scanning in blocks of rows."""
-    a = np.asarray(mul, dtype=np.intp)
+    """A triple (x, a, y) with (x*a)*y != x*(a*y), or None, by Light's test.
+
+    The elements a with (x*a)*y == x*(a*y) for all x, y are closed under
+    products (Clifford & Preston, 1961), so checking generators suffices.  Each
+    is the least element not yet reached, and the reached set is then closed
+    under right multiplication by them: never assuming an identity, the walk
+    reaches only products of checked elements.
+    """
     n = len(mul)
-    block = max(1, (1 << 22) // max(1, n * n))
-    for i0 in range(0, n, block):
-        rows = a[i0 : i0 + block]
-        left = a[rows]            # left[x, j, k] = a[a[i0+x, j], k]
-        right = rows[:, a]        # right[x, j, k] = a[i0+x, a[j, k]]
-        bad = np.argwhere(left != right)
-        if bad.size:
-            x, j, k = bad[0]
-            return (i0 + int(x), int(j), int(k))
+    reached = [False] * n
+    gens: list[int] = []
+    for g in range(n):
+        if reached[g]:
+            continue
+        gens.append(g)
+        reached[g] = True
+        stack = [x for x in range(n) if reached[x]]
+        while stack:
+            row = mul[stack.pop()]
+            for y in (row[a] for a in gens):
+                if not reached[y]:
+                    reached[y] = True
+                    stack.append(y)
+    for a, x in itertools.product(gens, range(n)):
+        arow, row, xa_row = mul[a], mul[x], mul[mul[x][a]]  # a*y, x*y, (x*a)*y
+        if [row[v] for v in arow] != list(xa_row):
+            return (x, a, next(y for y in range(n) if xa_row[y] != row[arow[y]]))
     return None
 
 
@@ -227,7 +234,7 @@ def parse_cayley_table(text: str, name: str = "loaded") -> Group:
     if not rows_raw:
         raise ValidationError("empty Cayley-table file")
     head = rows_raw[0]
-    if len(head) != 1 or not head[0].isdigit():
+    if len(head) != 1 or not head[0].isdecimal():
         raise ValidationError(f"first data line must be the order, got {' '.join(head)!r}")
     n = int(head[0])
     _check_order(n)
@@ -325,7 +332,7 @@ def validate_group(g: Group) -> GroupReport:
 
 def _parse_int_prefix(s: str, what: str) -> tuple[int, str]:
     i = 0
-    while i < len(s) and s[i].isdigit():
+    while i < len(s) and s[i].isdecimal():
         i += 1
     if i == 0:
         raise UsageError(f"expected an integer for {what} in group spec, got {s!r}")

@@ -160,7 +160,7 @@ def _gamma1() -> tuple[bool, str]:
     b4 = group.power(group.generators["b"], 4)
     if len(doubled) != 3 or involutions != [b4] or len(others) != 2 or group.inv[others[0]] != others[1]:
         return False, f"doubled elements {doubled} are not b^4 plus an inverse pair"
-    if not search.verify_inverse_covering(group, cand.elements):
+    if not diffsets.classify_set(diffsets.inverse_set(cand)).is_covering:
         return False, "inverse set is not covering"
     graph = bigraph.build_difference_graph(cand, 2)
     check = bigraph.verify_biregular(graph)

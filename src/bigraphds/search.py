@@ -35,7 +35,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .diffsets import CandidateSet, SetClassification, classify_set, inverse_set
+from .diffsets import CandidateSet, SetClassification, classify_set
 from .errors import CapacityError, InternalError, UsageError, ValidationError
 from .groups import Group
 
@@ -343,8 +343,3 @@ def sweep_family(groups, size: int, **config_kwargs) -> list[SweepRow]:
             )
     return rows
 
-
-def verify_inverse_covering(group: Group, elements) -> bool:
-    """True when the set of inverses is itself covering."""
-    cand = CandidateSet(group, tuple(elements))
-    return classify_set(inverse_set(cand)).is_covering

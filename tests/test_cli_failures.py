@@ -69,3 +69,37 @@ def test_repro_internal_error_exits_5(monkeypatch, capsys):
         ledger.run_check("z6-doubled-element-is-the-involution")
     assert main(["repro", "--workers", "1"]) == 5
     assert "non-covering set" in capsys.readouterr().err
+
+
+def test_non_decimal_digits_are_rejected(tmp_path, capsys):
+    # "\u00b2" (superscript two) passes str.isdigit() but not int()
+    assert main(["validate-group", "--group", "cyclic:\u00b2"]) == 2
+    table = tmp_path / "table.txt"
+    table.write_text("\u00b2\n0 1\n1 0\n", encoding="utf-8")
+    assert main(["validate-group", "--group", f"file:{table}"]) == 3
+    assert "first data line must be the order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "\u00b2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--group", "cyclic:7", "--size", "3"],
+        ["sweep", "--groups", "cyclic:7", "--size", "3"],
+        ["repro"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_malformed_workers_variable_is_usage_error(argv, value, monkeypatch, capsys):
+    monkeypatch.setenv("BIGRAPHDS_WORKERS", value)
+    assert main(argv) == 2
+    assert "$BIGRAPHDS_WORKERS must be an integer >= 1" in capsys.readouterr().err
+
+
+def test_workers_variable_is_read_only_where_it_is_used(monkeypatch, capsys):
+    monkeypatch.setenv("BIGRAPHDS_WORKERS", "\u00b2")
+    assert main(["bound", "--r", "3", "--s", "3"]) == 0
+    assert main(["search", "--group", "cyclic:7", "--size", "3", "--workers", "1"]) == 0
+    monkeypatch.setenv("BIGRAPHDS_WORKERS", "1")
+    assert main(["search", "--group", "cyclic:7", "--size", "3", "--json"]) == 0
+    capsys.readouterr()

@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import itertools
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bigraphds
 from bigraphds.errors import CapacityError, UsageError, ValidationError
 from bigraphds.groups import (
+    Group,
+    _find_associativity_violation,
     abelian_order40_groups,
     build_cyclic,
     build_direct_product,
@@ -19,6 +29,26 @@ from bigraphds.groups import (
     parse_group_spec,
     validate_group,
 )
+
+
+# an order-5 loop: a Latin square with a two-sided identity, not associative
+LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 3, 4, 0, 1), (3, 4, 1, 2, 0), (4, 2, 0, 1, 3))
+
+
+def oracle_associativity_violation(mul):
+    """The full n^3 scan: the first (i, j, k) with (i*j)*k != i*(j*k)."""
+    n = len(mul)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if mul[mul[i][j]][k] != mul[i][mul[j][k]]:
+                    return (i, j, k)
+    return None
+
+
+def fails_associativity(mul, triple) -> bool:
+    x, y, z = triple
+    return mul[mul[x][y]][z] != mul[x][mul[y][z]]
 
 
 def small_group_zoo():
@@ -182,6 +212,21 @@ def test_cayley_duplicate_row_rejected():
         parse_cayley_table(text)
 
 
+def test_cayley_latin_violation_names_the_first_repeated_cell():
+    rows = [list(r) for r in build_cyclic(6).mul]
+    rows[1][4] = rows[1][2]  # row 1 repeats a value at column 4
+    rows[5][3] = rows[5][0]
+    text = "6\n" + "\n".join(" ".join(map(str, r)) for r in rows)
+    with pytest.raises(ValidationError, match=r"at cell \(1, 4\)$"):
+        parse_cayley_table(text)
+    rows = [list(r) for r in build_cyclic(6).mul]
+    rows[4], rows[5] = rows[5], rows[4][:]
+    rows[5][0], rows[5][1] = rows[5][1], rows[5][0]  # rows stay permutations
+    text = "6\n" + "\n".join(" ".join(map(str, r)) for r in rows)
+    with pytest.raises(ValidationError, match=r"at cell \(5, 0\)$"):
+        parse_cayley_table(text)
+
+
 def test_cayley_identity_relabeled():
     # permute Z_6 by the transposition 0 <-> 4 so the identity lands at index 4
     z6 = build_cyclic(6)
@@ -264,3 +309,81 @@ def test_product_axioms_random(a, b):
     g = build_direct_product(build_cyclic(a), build_cyclic(b))
     report = validate_group(g)
     assert report.ok and report.abelian
+
+
+@st.composite
+def relabeled_tables(draw):
+    """A zoo group, maybe with one intercalate swapped, under a random relabeling.
+
+    For an involution t, rows x, x*t and columns y, t*y hold an intercalate
+    (x*y twice, x*t*y twice).  With x, y outside {e, t} the swap keeps a
+    Latin square with identity 0 that is usually not associative.
+    """
+    g = draw(st.sampled_from(small_group_zoo()))
+    rows = [list(r) for r in g.mul]
+    if g.involutions() and g.order > 4 and draw(st.booleans()):
+        t = draw(st.sampled_from(g.involutions()))
+        others = [a for a in range(g.order) if a not in (0, t)]
+        x, y = draw(st.sampled_from(others)), draw(st.sampled_from(others))
+        xt, ty = g.mul[x][t], g.mul[t][y]
+        u, v = rows[x][y], rows[x][ty]
+        rows[x][y] = rows[xt][ty] = v
+        rows[x][ty] = rows[xt][y] = u
+    perm = draw(st.permutations(range(g.order)))
+    table = [[0] * g.order for _ in range(g.order)]
+    for i in range(g.order):
+        for j in range(g.order):
+            table[perm[i]][perm[j]] = perm[rows[i][j]]
+    return tuple(tuple(r) for r in table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabeled_tables())
+def test_light_test_agrees_with_the_cubic_scan(table):
+    triple = _find_associativity_violation(table)
+    assert (triple is None) == (oracle_associativity_violation(table) is None)
+    if triple is not None:
+        assert fails_associativity(table, triple)
+
+
+def test_light_test_agrees_on_every_table_of_order_3():
+    # every 3x3 table, most with no identity or Latin property, as validate_group may get
+    for cells in itertools.product(range(3), repeat=9):
+        table = (cells[0:3], cells[3:6], cells[6:9])
+        triple = _find_associativity_violation(table)
+        assert (triple is None) == (oracle_associativity_violation(table) is None), table
+        assert triple is None or fails_associativity(table, triple)
+
+
+def _report_triple(report) -> tuple[int, int, int]:
+    match = re.fullmatch(r"violated at triple \((\d+), (\d+), (\d+)\)", report.first_failure)
+    assert match, report.first_failure
+    return tuple(map(int, match.groups()))
+
+
+def test_validate_group_reports_a_non_associative_loop():
+    loop = Group(5, LOOP5, (0, 1, 3, 4, 2), False, (1, 2, 3, 3, 3), "loop5")
+    report = validate_group(loop)
+    assert not report.ok
+    assert report.axioms["latin_square"] and report.axioms["identity"]
+    assert not report.axioms["associativity"]
+    assert fails_associativity(LOOP5, _report_triple(report))
+
+
+def test_validate_group_without_an_identity():
+    # subtraction mod 3: a Latin square whose index 0 is only a right identity
+    mul = ((0, 2, 1), (1, 0, 2), (2, 1, 0))
+    report = validate_group(Group(3, mul, (0, 1, 2), False, (1, 2, 2), "sub3"))
+    assert not report.ok
+    assert not report.axioms["identity"] and not report.axioms["associativity"]
+    assert report.first_failure == "index 0 is not a two-sided identity"
+    assert fails_associativity(mul, _find_associativity_violation(mul))
+
+
+def test_import_does_not_load_numpy():
+    env = {**os.environ, "PYTHONPATH": str(Path(bigraphds.__file__).parents[1])}
+    code = "import sys, bigraphds; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
