@@ -68,11 +68,8 @@ from .search import (
 )
 from .singer import (
     PUBLISHED_PERFECT_SETS,
-    ExtensionField,
-    PrimeField,
     SingerSet,
     build_field,
-    find_primitive_cubic,
     singer_set,
 )
 

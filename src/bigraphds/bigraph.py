@@ -54,18 +54,6 @@ class BiGraph:
         l, u = divmod(v - self.n, self.n)
         return f"P1_{l + 1}_{u}"
 
-    def vertex_id(self, name: str) -> int:
-        parts = name.split("_")
-        if parts[0] == "P0" and len(parts) == 2:
-            v = int(parts[1])
-            if 0 <= v < self.n:
-                return v
-        elif parts[0] == "P1" and len(parts) == 3:
-            l, u = int(parts[1]), int(parts[2])
-            if 1 <= l <= self.m and 0 <= u < self.n:
-                return self.n + (l - 1) * self.n + u
-        raise ValidationError(f"unknown vertex name {name!r}")
-
     def named_edges(self) -> list[tuple[str, str]]:
         out = []
         for v, neigh in enumerate(self.adjacency):
@@ -218,23 +206,36 @@ def export_graph(graph: BiGraph, fmt: str) -> str:
 
 
 def load_graph_json(text: str) -> BiGraph:
-    """Inverse of the json export."""
+    """Inverse of the json export; every malformed payload is a ValidationError.
+
+    The declared part lists are checked against n and m before the adjacency
+    is sized, so the allocation never exceeds what the payload itself holds.
+    """
     try:
         payload = json.loads(text)
-        n, m, s = int(payload["n"]), int(payload["m"]), int(payload["s"])
-        group_name = payload["group_name"]
-        edges = payload["edges"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        n, m, s, group_name = (payload[k] for k in ("n", "m", "s", "group_name"))
+        names, edges = [*payload["part0"], *payload["part1"]], list(payload["edges"])
+    except (KeyError, RecursionError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed graph json: {exc}") from exc
-    graph = BiGraph(n=n, m=m, s=s, group_name=group_name, adjacency=[[] for _ in range((m + 1) * n)])
-    if payload.get("part0") != [graph.vertex_name(v) for v in graph.part_vertices(0)]:
-        raise ValidationError("part0 names do not match the declared n")
-    if payload.get("part1") != [graph.vertex_name(v) for v in graph.part_vertices(1)]:
-        raise ValidationError("part1 names do not match the declared n and m")
-    for a, b in edges:
-        va, vb = graph.vertex_id(a), graph.vertex_id(b)
+    if any(type(v) is not int or v < 1 for v in (n, m, s)) or not isinstance(group_name, str):
+        raise ValidationError("n, m and s must be positive integers and group_name a string")
+    if len(names) != (m + 1) * n:
+        raise ValidationError(f"part lists hold {len(names)} names, expected (m+1)*n for n={n}, m={m}")
+    graph = BiGraph(n=n, m=m, s=s, group_name=group_name, adjacency=[[] for _ in names])
+    ids = {graph.vertex_name(v): v for v in range(graph.vertex_count)}
+    if names != list(ids):
+        raise ValidationError("part names do not match the declared n and m")
+    seen = set()
+    for edge in edges:
+        pair = [ids.get(x) if isinstance(x, str) else None for x in edge] if isinstance(edge, list) else []
+        if len(pair) != 2 or None in pair:
+            raise ValidationError(f"edge {edge!r} is not a pair of vertex names")
+        va, vb = sorted(pair)
         if graph.part_of(va) == graph.part_of(vb):
-            raise ValidationError(f"edge {a} -- {b} is not cross-part")
+            raise ValidationError(f"edge {edge[0]} -- {edge[1]} is not cross-part")
+        if (va, vb) in seen:
+            raise ValidationError(f"duplicate edge {edge[0]} -- {edge[1]}")
+        seen.add((va, vb))
         graph.adjacency[va].append(vb)
         graph.adjacency[vb].append(va)
     graph.adjacency = [sorted(x) for x in graph.adjacency]

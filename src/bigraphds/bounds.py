@@ -7,7 +7,7 @@ bound and the sign of the improvement margin must be exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import UsageError, ValidationError
@@ -124,20 +124,7 @@ def bound_report(r: int, s: int) -> BoundReport:
     base = moore_bound_odd(r, s, 1)
     improved = improved_moore_bound(r // s, s) if r % s == 0 else None
     best = min(base.moore, improved.value) if improved else base.moore
-    return BoundReport(
-        r=base.r,
-        s=base.s,
-        d=3,
-        n1_raw=base.n1_raw,
-        n2_raw=base.n2_raw,
-        rho=base.rho,
-        sigma=base.sigma,
-        moore=base.moore,
-        n1=base.n1,
-        n2=base.n2,
-        improved=improved,
-        best=best,
-    )
+    return replace(base, improved=improved, best=best)
 
 
 def _table_cells(kind: str, r_max: int, s_max: int) -> list[tuple[int, int, int | None]]:

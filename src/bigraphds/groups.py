@@ -245,16 +245,14 @@ def parse_cayley_table(text: str, name: str = "loaded") -> Group:
     for i, row in enumerate(body):
         if len(row) != n:
             raise ValidationError(f"row {i} has {len(row)} entries, expected {n}")
-        vals = []
-        for j, tok in enumerate(row):
-            try:
-                v = int(tok)
-            except ValueError:
+        if all(map(str.isdecimal, row)) and max(vals := tuple(map(int, row))) < n:
+            mul.append(vals)
+            continue
+        for j, tok in enumerate(row):  # name the first bad cell
+            if not tok.isdecimal():
                 raise ValidationError(f"row {i}, column {j}: {tok!r} is not an integer")
-            if not 0 <= v < n:
+            if (v := int(tok)) >= n:
                 raise ValidationError(f"row {i}, column {j}: entry {v} out of range 0..{n - 1}")
-            vals.append(v)
-        mul.append(tuple(vals))
 
     cell = _find_latin_violation(mul)
     if cell is not None:

@@ -1,16 +1,18 @@
 """Perfect difference sets from the multiplicative group of GF(q^3).
 
-The construction builds GF(q^3) as a cubic extension of GF(q) using a
-primitive polynomial, so its multiplicative group is generated by the class
-of x.  Walking the powers of x and recording the discrete logs of the
+The construction (Singer, 1938) builds GF(q^3) as a cubic extension of GF(q)
+using a primitive polynomial, so its multiplicative group is generated by the
+class of x.  Walking the powers of x and recording the discrete logs of the
 elements 1 + alpha*x for alpha in GF(q)* gives, together with the logs of 1
 and x themselves, q+1 exponents whose residues modulo n = q^2 + q + 1 form a
 perfect difference set in Z_n.
 
-Field elements are integer indices: a prime field uses 0..p-1 directly, an
-extension encodes the coefficient vector (constant term first) in base
-|base field|.  Polynomials over a field are tuples of element indices with
-the constant term first.
+GF(q) is held as addition, multiplication and subtraction tables on the
+indices 0..q-1: residues for a prime q, and for q = p^k the base-p digits
+(constant term first) of a polynomial modulo the lexicographically least
+primitive polynomial of degree k over GF(p).  Polynomials over such a field
+are tuples of indices with the constant term first, and an element of the
+quotient ring F[x]/(f) is the tuple of its deg f coefficients.
 """
 
 from __future__ import annotations
@@ -19,8 +21,11 @@ import itertools
 from dataclasses import dataclass
 
 from .diffsets import PERFECT, CandidateSet, SetClassification, classify_set
-from .errors import InternalError, ValidationError
-from .groups import build_cyclic
+from .errors import CapacityError, InternalError, ValidationError
+from .groups import MAX_ORDER, build_cyclic
+
+# (add, mul, sub) tables of a finite field on the indices 0..q-1.
+Field = tuple[tuple[tuple[int, ...], ...], ...]
 
 # Perfect difference sets as published for s = |S| in {3,...,12}, used as
 # validation fixtures; the generator may produce different but equally
@@ -35,17 +40,6 @@ PUBLISHED_PERFECT_SETS: dict[int, tuple[int, tuple[int, ...]]] = {
     10: (91, (0, 1, 3, 9, 27, 49, 56, 61, 77, 81)),
     12: (133, (0, 1, 3, 12, 20, 34, 38, 81, 88, 94, 104, 109)),
 }
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def prime_power_decompose(q: int) -> tuple[int, int] | None:
@@ -78,200 +72,105 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class PrimeField:
-    """GF(p) with elements 0..p-1."""
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValidationError(f"{p} is not prime")
-        self.p = p
-        self.cardinality = p
-        self.degree = 1
-        self.zero = 0
-        self.one = 1
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.p)
-
-    def elements(self) -> range:
-        return range(self.p)
-
-    def __repr__(self) -> str:
-        return f"GF({self.p})"
-
-
-def _trim(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def poly_mul(field, a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [field.zero] * (len(a) + len(b) - 1)
+def mul_mod(field: Field, a: tuple[int, ...], b: tuple[int, ...], modulus) -> tuple[int, ...]:
+    """a*b in field[x]/(modulus) for a monic modulus; a, b hold deg(modulus) coefficients."""
+    add, mul, sub = field
+    deg = len(modulus) - 1
+    prod = [0] * (2 * deg - 1)
     for i, ai in enumerate(a):
-        if ai == field.zero:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(ai, bj))
-    return _trim(out)
+        if ai:
+            row = mul[ai]
+            for j, bj in enumerate(b):
+                prod[i + j] = add[prod[i + j]][row[bj]]
+    for top in range(2 * deg - 2, deg - 1, -1):
+        if prod[top]:
+            row = mul[prod[top]]
+            for i in range(deg):
+                prod[top - deg + i] = sub[prod[top - deg + i]][row[modulus[i]]]
+    return tuple(prod[:deg])
 
 
-def poly_mod(field, a: list[int], m: list[int]) -> list[int]:
-    """Remainder of a modulo the monic polynomial m."""
-    r = list(a)
-    deg_m = len(m) - 1
-    while len(r) - 1 >= deg_m and r:
-        lead = r[-1]
-        shift = len(r) - 1 - deg_m
-        if lead != field.zero:
-            for i, mi in enumerate(m):
-                r[shift + i] = field.add(r[shift + i], field.neg(field.mul(lead, mi)))
-        _trim(r)
-    return r
-
-
-def poly_eval(field, poly, alpha: int) -> int:
-    acc = field.zero
-    for c in reversed(poly):
-        acc = field.add(field.mul(acc, alpha), c)
+def pow_mod(field: Field, a: tuple[int, ...], e: int, modulus) -> tuple[int, ...]:
+    acc = (1,) + (0,) * (len(modulus) - 2)
+    while e:
+        if e & 1:
+            acc = mul_mod(field, acc, a, modulus)
+        a = mul_mod(field, a, a, modulus)
+        e >>= 1
     return acc
 
 
-def is_irreducible(field, poly) -> bool:
-    """Irreducibility over the field; root test suffices up to degree 3."""
+def has_root(field: Field, poly) -> bool:
+    add, mul, _ = field
+    for a in range(len(add)):
+        acc = 0
+        for c in reversed(poly):
+            acc = add[mul[acc][a]][c]
+        if acc == 0:
+            return True
+    return False
+
+
+def is_primitive(field: Field, poly) -> bool:
+    """True when the class of x has order |F|^deg - 1 modulo the monic poly.
+
+    Checked as: no root in F, x^r = 1 and x^(r/l) != 1 for each prime l | r,
+    with r = |F|^deg - 1.  A unit of that order leaves no nonzero non-unit in
+    F[x]/(poly), so the quotient is a field and poly is irreducible.
+    """
     deg = len(poly) - 1
-    if deg < 1:
+    if deg < 2 or has_root(field, poly):
         return False
-    if deg == 1:
-        return True
-    if deg <= 3:
-        return all(poly_eval(field, poly, a) != field.zero for a in field.elements())
-    for d in range(1, deg // 2 + 1):
-        for coeffs in itertools.product(field.elements(), repeat=d):
-            divisor = [*coeffs, field.one]
-            if not poly_mod(field, list(poly), divisor):
-                return False
-    return True
-
-
-class ExtensionField:
-    """GF(|base|^k) as polynomials over the base field modulo a monic irreducible."""
-
-    def __init__(self, base, modulus):
-        modulus = list(modulus)
-        if len(modulus) < 2 or modulus[-1] != base.one:
-            raise ValidationError(f"modulus must be monic of degree >= 1: {modulus}")
-        if any(not 0 <= c < base.cardinality for c in modulus):
-            raise ValidationError(f"modulus coefficients out of range: {modulus}")
-        if not is_irreducible(base, modulus):
-            raise ValidationError(f"modulus {modulus} is reducible over {base!r}")
-        self.base = base
-        self.modulus = tuple(modulus)
-        self.degree = len(modulus) - 1
-        self.cardinality = base.cardinality ** self.degree
-        self.zero = 0
-        self.one = self.encode((base.one,))
-        self.x = self.encode((base.zero, base.one)) if self.degree >= 2 else None
-
-    def encode(self, coeffs) -> int:
-        idx = 0
-        for c in reversed(tuple(coeffs)):
-            idx = idx * self.base.cardinality + c
-        return idx
-
-    def decode(self, idx: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.degree):
-            idx, c = divmod(idx, self.base.cardinality)
-            out.append(c)
-        return tuple(out)
-
-    def add(self, a: int, b: int) -> int:
-        ca, cb = self.decode(a), self.decode(b)
-        return self.encode(tuple(self.base.add(x, y) for x, y in zip(ca, cb)))
-
-    def neg(self, a: int) -> int:
-        return self.encode(tuple(self.base.neg(c) for c in self.decode(a)))
-
-    def mul(self, a: int, b: int) -> int:
-        prod = poly_mul(self.base, list(self.decode(a)), list(self.decode(b)))
-        rem = poly_mod(self.base, prod, list(self.modulus))
-        rem += [self.base.zero] * (self.degree - len(rem))
-        return self.encode(rem)
-
-    def pow(self, a: int, e: int) -> int:
-        acc = self.one
-        base = a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
-
-    def elements(self) -> range:
-        return range(self.cardinality)
-
-    def __repr__(self) -> str:
-        return f"GF({self.base.cardinality}^{self.degree})"
-
-
-def multiplicative_order(field, a: int) -> int:
-    """Exact order of a in the field's multiplicative group."""
-    r = field.cardinality - 1
-    order = r
-    for ell in prime_factors(r):
-        while order % ell == 0 and field.pow(a, order // ell) == field.one:
-            order //= ell
-    return order
-
-
-def is_primitive(field, poly) -> bool:
-    """True when poly is irreducible and its root generates the extension's units."""
-    if not is_irreducible(field, poly):
+    r = len(field[0]) ** deg - 1
+    x, one = (0, 1) + (0,) * (deg - 2), (1,) + (0,) * (deg - 1)
+    if pow_mod(field, x, r, poly) != one:
         return False
-    ext = ExtensionField(field, poly)
-    r = ext.cardinality - 1
-    return all(ext.pow(ext.x, r // ell) != ext.one for ell in prime_factors(r))
+    return all(pow_mod(field, x, r // ell, poly) != one for ell in prime_factors(r))
 
 
-def find_primitive_poly(field, degree: int):
+def find_primitive_poly(field: Field, degree: int) -> tuple[int, ...]:
     """Lexicographically smallest monic primitive polynomial of the degree."""
-    for coeffs in itertools.product(field.elements(), repeat=degree):
-        poly = (*coeffs, field.one)
+    for coeffs in itertools.product(range(len(field[0])), repeat=degree):
+        poly = (*coeffs, 1)
         if is_primitive(field, poly):
             return poly
-    raise InternalError(f"no primitive polynomial of degree {degree} over {field!r}")
+    raise InternalError(f"no primitive polynomial of degree {degree} over GF({len(field[0])})")
 
 
-def find_primitive_cubic(field):
-    return find_primitive_poly(field, 3)
+def build_field(q: int) -> Field:
+    """(add, mul, sub) tables of GF(q) in the encoding of the module docstring."""
+    decomp = prime_power_decompose(q)
+    if decomp is None:
+        raise ValidationError(f"q must be a prime power >= 2, got {q}")
+    p, k = decomp
 
+    def table(op, size: int) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(op(a, b) for b in range(size)) for a in range(size))
 
-def build_field(p: int, k: int):
-    """GF(p^k); for k >= 2 the modulus is the smallest primitive polynomial."""
-    if k < 1:
-        raise ValidationError(f"extension degree must be >= 1, got {k}")
-    base = PrimeField(p)
+    prime = (
+        table(lambda a, b: (a + b) % p, p),
+        table(lambda a, b: a * b % p, p),
+        table(lambda a, b: (a - b) % p, p),
+    )
     if k == 1:
-        return base
-    return ExtensionField(base, find_primitive_poly(base, k))
+        return prime
+    modulus = find_primitive_poly(prime, k)
+    digits = [tuple(i // p**j % p for j in range(k)) for i in range(q)]
+    index = {d: i for i, d in enumerate(digits)}
+    x, elem, exp = (0, 1) + (0,) * (k - 2), digits[1], []
+    for _ in range(q - 1):
+        exp.append(index[elem])
+        elem = mul_mod(prime, elem, x, modulus)
+    log = {e: i for i, e in enumerate(exp)}
+
+    def digitwise(op):
+        return lambda a, b: index[tuple(op[u][v] for u, v in zip(digits[a], digits[b]))]
+
+    return (
+        table(digitwise(prime[0]), q),
+        table(lambda a, b: exp[(log[a] + log[b]) % (q - 1)] if a and b else 0, q),
+        table(digitwise(prime[2]), q),
+    )
 
 
 @dataclass(frozen=True)
@@ -289,36 +188,32 @@ def singer_set(q: int, modulus=None) -> SingerSet:
 
     ``modulus`` optionally fixes the primitive cubic over GF(q) (coefficient
     tuple, constant term first, monic); by default the lexicographically
-    smallest one is used, which makes the output deterministic.
+    smallest one is used, which makes the output deterministic.  The group
+    order q^2+q+1 is checked against the capacity before any field is built.
     """
-    decomp = prime_power_decompose(q)
-    if decomp is None:
-        raise ValidationError(f"q must be a prime power >= 2, got {q}")
-    p, k = decomp
-    base = build_field(p, k)
-    if modulus is not None:
-        modulus = tuple(modulus)
-        if len(modulus) != 4 or modulus[-1] != base.one:
-            raise ValidationError(f"modulus must be a monic cubic over GF({q}): {modulus}")
-        if not is_primitive(base, modulus):
-            raise ValidationError(f"modulus {modulus} is not primitive over GF({q})")
-    else:
-        modulus = find_primitive_cubic(base)
-    ext = ExtensionField(base, modulus)
-
     n = q * q + q + 1
-    targets = {
-        ext.encode((base.one, alpha, base.zero)): alpha
-        for alpha in base.elements()
-        if alpha != base.zero
-    }
+    if q >= 2 and n > MAX_ORDER:
+        raise CapacityError(f"q={q} needs group order {n}, above the supported maximum {MAX_ORDER}")
+    field = build_field(q)
+    if modulus is None:
+        modulus = find_primitive_poly(field, 3)
+    else:
+        modulus = tuple(modulus)
+        if len(modulus) != 4 or modulus[-1] != 1:
+            raise ValidationError(f"modulus must be a monic cubic over GF({q}): {modulus}")
+        if any(not isinstance(c, int) or not 0 <= c < q for c in modulus):
+            raise ValidationError(f"modulus coefficients out of range 0..{q - 1}: {modulus}")
+        if not is_primitive(field, modulus):
+            raise ValidationError(f"modulus {modulus} is not primitive over GF({q})")
+
+    targets = {(1, alpha, 0): alpha for alpha in range(1, q)}
     logs: dict[int, int] = {}
-    elem = ext.one
-    for i in range(ext.cardinality - 1):
+    x, elem = (0, 1, 0), (1, 0, 0)
+    for i in range(q**3 - 1):
         if elem in targets:
             logs[targets[elem]] = i
-        elem = ext.mul(elem, ext.x)
-    if elem != ext.one or len(logs) != q - 1:
+        elem = mul_mod(field, elem, x, modulus)
+    if elem != (1, 0, 0) or len(logs) != q - 1:
         raise InternalError(f"power walk over GF({q}^3) did not close as expected")
 
     raw = tuple(sorted([0, 1, *logs.values()]))
@@ -331,4 +226,4 @@ def singer_set(q: int, modulus=None) -> SingerSet:
         raise InternalError(
             f"singer construction for q={q} produced a non-perfect set {reduced}"
         )
-    return SingerSet(q, n, raw, cand, tuple(modulus), cls)
+    return SingerSet(q, n, raw, cand, modulus, cls)

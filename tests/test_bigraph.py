@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,48 @@ def test_json_loader_rejects_corruption():
         load_graph_json(text.replace('"P0_1"', '"P9_1"'))
     with pytest.raises(ValidationError):
         load_graph_json("{not json")
+    payload = json.loads(text)
+
+    def corrupt(**changes):
+        return json.dumps({**payload, **changes})
+
+    edge = payload["edges"][0]
+    bad_payloads = [
+        corrupt(edges=[["P0_x", edge[1]]]),
+        corrupt(edges=[[*edge, edge[0]]]),  # three names
+        corrupt(edges=[[edge[0]]]),
+        corrupt(edges=[[0, 7]]),  # non-string names
+        corrupt(edges=[[["P0_0"], edge[1]]]),
+        corrupt(edges=[{"a": 1}]),
+        corrupt(edges=[edge[0] + edge[1]]),
+        corrupt(edges=7),
+        corrupt(edges=[[edge[0].replace("_", "_0"), edge[1]]]),  # P0_01
+        corrupt(edges=[[edge[0].replace("_", "_+"), edge[1]]]),  # P0_+1
+        corrupt(edges=[edge, edge]),  # duplicate
+        corrupt(edges=[edge, edge[::-1]]),  # duplicate, reversed
+        corrupt(edges=[["P0_0", "P0_1"]]),  # same part
+        corrupt(part0=5),
+        corrupt(part0=payload["part0"][::-1]),
+        corrupt(part1="P1_1_0"),
+        corrupt(n=1e999),
+        corrupt(n="x"),
+        corrupt(n="7"),
+        corrupt(n=7.5),
+        corrupt(m=True),
+        corrupt(group_name=["Z7"]),
+        corrupt(m=0),
+        corrupt(n=-7),
+        json.dumps([1, 2]),
+        "[" * 100_000 + "]" * 100_000,  # nested past the decoder's recursion limit
+        json.dumps({k: v for k, v in payload.items() if k != "part1"}),
+    ]
+    for bad in bad_payloads:
+        with pytest.raises(ValidationError):
+            load_graph_json(bad)
+    # a huge declared n*m with the small payload's part lists is rejected on
+    # the list lengths, before any adjacency of that size is allocated
+    with pytest.raises(ValidationError, match="part lists"):
+        load_graph_json(corrupt(n=10**9, m=10**9))
 
 
 def test_unknown_export_format():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -103,3 +104,11 @@ def test_workers_variable_is_read_only_where_it_is_used(monkeypatch, capsys):
     monkeypatch.setenv("BIGRAPHDS_WORKERS", "1")
     assert main(["search", "--group", "cyclic:7", "--size", "3", "--json"]) == 0
     capsys.readouterr()
+
+
+def test_singer_capacity_exits_4_before_any_field(capsys):
+    start = time.perf_counter()
+    assert main(["singer", "--q", "32"]) == 4
+    assert main(["singer", "--q", "1024"]) == 4
+    assert time.perf_counter() - start < 1.0
+    assert "1057" in capsys.readouterr().err

@@ -276,6 +276,12 @@ def test_cayley_malformed_inputs():
         parse_cayley_table("2\n0 1\n")
     with pytest.raises(ValidationError):
         parse_cayley_table("")
+    # cells are plain decimal indices: no sign, underscore or non-decimal digit
+    for cell in ("+1", "0_1", "1.0", "\u00b9"):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            parse_cayley_table(f"2\n0 {cell}\n1 0\n")
+    with pytest.raises(ValidationError, match="row 1, column 0"):
+        parse_cayley_table("2\n0 1\n+1 0_1\n")
 
 
 def test_group_spec_grammar(tmp_path):

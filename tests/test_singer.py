@@ -1,4 +1,4 @@
-"""Finite-field arithmetic and the perfect-difference-set generator."""
+"""Table-based finite fields and the perfect-difference-set generator."""
 
 from __future__ import annotations
 
@@ -7,24 +7,113 @@ import itertools
 import pytest
 
 from bigraphds.diffsets import PERFECT, CandidateSet, classify_set
-from bigraphds.errors import ValidationError
+from bigraphds.errors import CapacityError, ValidationError
 from bigraphds.groups import build_cyclic
 from bigraphds.singer import (
     PUBLISHED_PERFECT_SETS,
-    ExtensionField,
-    PrimeField,
     build_field,
-    find_primitive_cubic,
-    is_irreducible,
+    find_primitive_poly,
+    has_root,
     is_primitive,
-    multiplicative_order,
+    pow_mod,
     prime_power_decompose,
     singer_set,
 )
 
+# (poly_used, exponents_raw, set elements) of singer_set(q) for every prime
+# power q <= 31, as produced by the earlier implementation that built GF(q)
+# and GF(q^3) as field classes; the table fields must reproduce them exactly.
+PINNED = {
+    2: (
+        (1, 0, 1, 1),
+        (0, 1, 5),
+        (0, 1, 5),
+    ),
+    3: (
+        (1, 0, 2, 1),
+        (0, 1, 18, 24),
+        (0, 1, 5, 11),
+    ),
+    4: (
+        (2, 1, 1, 1),
+        (0, 1, 37, 46, 56),
+        (0, 1, 4, 14, 16),
+    ),
+    5: (
+        (2, 0, 1, 1),
+        (0, 1, 6, 22, 29, 49),
+        (0, 1, 6, 18, 22, 29),
+    ),
+    7: (
+        (2, 1, 1, 1),
+        (0, 1, 14, 69, 118, 144, 265, 280),
+        (0, 1, 4, 12, 14, 30, 37, 52),
+    ),
+    8: (
+        (2, 0, 2, 1),
+        (0, 1, 43, 205, 376, 432, 458, 476, 509),
+        (0, 1, 11, 20, 38, 43, 59, 67, 71),
+    ),
+    9: (
+        (3, 0, 3, 1),
+        (0, 1, 43, 122, 338, 362, 379, 491, 648, 720),
+        (0, 1, 11, 15, 31, 36, 43, 65, 83, 89),
+    ),
+    11: (
+        (3, 0, 1, 1),
+        (0, 1, 21, 131, 339, 438, 708, 846, 903, 1118, 1181, 1205),
+        (0, 1, 8, 21, 39, 43, 48, 54, 73, 105, 117, 131),
+    ),
+    13: (
+        (2, 0, 1, 1),
+        (0, 1, 8, 107, 181, 519, 952, 1054, 1122, 1322, 1340, 1775, 2132, 2147),
+        (0, 1, 8, 24, 37, 41, 59, 107, 119, 128, 134, 139, 153, 181),
+    ),
+    16: (
+        (2, 0, 1, 1),
+        (0, 1, 271, 639, 889, 1608, 1632, 1718, 2225, 2604, 3039, 3161, 3187, 3760, 3841, 3960, 4081),
+        (0, 1, 19, 36, 41, 70, 80, 93, 138, 147, 158, 184, 211, 243, 259, 267, 271),
+    ),
+    17: (
+        (3, 0, 2, 1),
+        (0, 1, 7, 56, 681, 721, 919, 1155, 1437, 1509, 1612, 1620, 1781, 2853, 2934, 4419, 4564, 4867),
+        (0, 1, 7, 56, 67, 77, 85, 90, 107, 121, 171, 209, 234, 246, 262, 266, 281, 305),
+    ),
+    19: (
+        (4, 0, 4, 1),
+        (0, 1, 502, 805, 837, 2046, 2236, 2293, 2467, 2967, 3365, 3427, 3707, 4080, 4926, 5190, 5249, 5885, 6261, 6465),
+        (0, 1, 7, 43, 75, 121, 141, 165, 170, 181, 237, 270, 278, 296, 300, 317, 331, 354, 369, 379),
+    ),
+    23: (
+        (2, 0, 2, 1),
+        (0, 1, 197, 217, 1043, 1927, 2620, 3965, 4665, 4793, 4947, 4964, 5052, 5077, 5583, 6081, 7368, 7752, 7975, 8187, 9137, 9342, 9469, 10357),
+        (0, 1, 10, 53, 68, 75, 94, 100, 179, 197, 217, 233, 241, 268, 289, 369, 403, 408, 445, 490, 494, 523, 540, 551),
+    ),
+    25: (
+        (5, 0, 4, 1),
+        (0, 1, 544, 1615, 2303, 4044, 4279, 4444, 5353, 6330, 6453, 8461, 8996, 10646, 10797, 11315, 11397, 11872, 12002, 12163, 12203, 12976, 13639, 14194, 14243, 15327),
+        (0, 1, 138, 145, 154, 230, 248, 284, 313, 330, 350, 354, 373, 381, 445, 471, 485, 523, 533, 538, 544, 572, 594, 607, 619, 649),
+    ),
+    27: (
+        (4, 0, 2, 1),
+        (0, 1, 1550, 1645, 2460, 2786, 3020, 3577, 4221, 5025, 5478, 5989, 7348, 8412, 8881, 10106, 10518, 10596, 12958, 15246, 15531, 16150, 16970, 17557, 17825, 17976, 18954, 19656),
+        (0, 1, 29, 36, 85, 89, 106, 131, 146, 179, 189, 253, 265, 316, 391, 414, 436, 483, 515, 535, 549, 554, 565, 677, 690, 731, 749, 755),
+    ),
+    29: (
+        (2, 0, 3, 1),
+        (0, 1, 70, 921, 3180, 6278, 6781, 6869, 7853, 8632, 8708, 8954, 9497, 10097, 10212, 11597, 14408, 14442, 14812, 15141, 17719, 18078, 18184, 19286, 19868, 22684, 22991, 23022, 23371, 23834),
+        (0, 1, 5, 14, 38, 50, 70, 124, 181, 244, 274, 299, 317, 334, 345, 376, 472, 506, 516, 567, 631, 658, 684, 706, 725, 764, 772, 787, 793, 869),
+    ),
+    31: (
+        (7, 0, 6, 1),
+        (0, 1, 299, 930, 1306, 5956, 6190, 6839, 7241, 7636, 12023, 12401, 15103, 15244, 15755, 17725, 17737, 18504, 20081, 20669, 21395, 21751, 22579, 23144, 23306, 25845, 26405, 26622, 27268, 27771, 27870, 28817),
+        (0, 1, 20, 27, 66, 107, 208, 221, 232, 290, 299, 305, 313, 349, 457, 467, 485, 542, 587, 630, 685, 733, 804, 809, 844, 856, 860, 881, 898, 930, 960, 991),
+    ),
+}
+
 
 def oracle_power_walk(p: int, modulus: tuple[int, ...]) -> int:
-    """Order of x modulo a monic cubic over GF(p), by plain list arithmetic."""
+    """Order of x modulo a monic polynomial over GF(p), by plain list arithmetic."""
     deg = len(modulus) - 1
     elem = [1] + [0] * (deg - 1)
     for step in range(1, p**deg):
@@ -53,6 +142,12 @@ def oracle_reducible_cubics(p: int) -> set[tuple[int, ...]]:
     return {mul(l, q) for l in linears for q in quads}
 
 
+def order_of_x(field, modulus) -> int:
+    deg = len(modulus) - 1
+    x, one = (0, 1) + (0,) * (deg - 2), (1,) + (0,) * (deg - 1)
+    return next(e for e in range(1, len(field[0]) ** deg) if pow_mod(field, x, e, modulus) == one)
+
+
 def test_prime_power_decompose():
     assert prime_power_decompose(2) == (2, 1)
     assert prime_power_decompose(9) == (3, 2)
@@ -63,51 +158,128 @@ def test_prime_power_decompose():
 
 
 def test_prime_field_basics():
-    f = PrimeField(3)
-    assert f.add(2, 2) == 1 and f.mul(2, 2) == 1 and f.inv(2) == 2
-    with pytest.raises(ValidationError):
-        PrimeField(4)
+    add, mul, sub = build_field(3)
+    assert add[2][2] == 1 and mul[2][2] == 1 and sub[0][1] == 2 and sub[1][2] == 2
+    for q in (1, 6, 12):
+        with pytest.raises(ValidationError):
+            build_field(q)
 
 
 def test_gf4_uses_the_unique_irreducible_quadratic():
-    f = build_field(2, 2)
-    assert isinstance(f, ExtensionField)
-    assert f.modulus == (1, 1, 1)  # x^2 + x + 1
-    assert multiplicative_order(f, f.x) == 3
+    assert find_primitive_poly(build_field(2), 2) == (1, 1, 1)  # x^2 + x + 1
+    add, mul, _ = build_field(4)
+    assert mul[2][2] == 3  # x * x = x + 1, digits (1, 1)
+    assert add[2][3] == 1  # x + (x + 1) = 1
+    assert order_of_x(build_field(2), (1, 1, 1)) == 3
 
 
 def test_published_cubic_over_gf3_is_primitive():
-    f3 = PrimeField(3)
+    f3 = build_field(3)
     assert is_primitive(f3, (1, 1, 2, 1))
-    ext = ExtensionField(f3, (1, 1, 2, 1))
-    assert multiplicative_order(ext, ext.x) == 26
+    assert order_of_x(f3, (1, 1, 2, 1)) == 26
     assert oracle_power_walk(3, (1, 1, 2, 1)) == 26
 
 
 def test_gf2_cubic_x3_x_1_is_primitive():
-    f2 = PrimeField(2)
-    assert is_primitive(f2, (1, 1, 0, 1))
+    assert is_primitive(build_field(2), (1, 1, 0, 1))
     assert oracle_power_walk(2, (1, 1, 0, 1)) == 7
 
 
 def test_irreducibility_matches_bruteforce_over_gf3():
-    f3 = PrimeField(3)
+    """For a cubic, having no root is irreducibility; primitive implies both."""
+    f3 = build_field(3)
     reducible = oracle_reducible_cubics(3)
     for coeffs in itertools.product(range(3), repeat=3):
         poly = (*coeffs, 1)
-        assert is_irreducible(f3, poly) == (poly not in reducible), poly
+        assert has_root(f3, poly) == (poly in reducible), poly
+        assert not (is_primitive(f3, poly) and poly in reducible), poly
     # the spec's spot check: x^3 + 2x + 1 against the brute-force factorization
-    assert is_irreducible(f3, (1, 2, 0, 1)) == ((1, 2, 0, 1) not in reducible)
+    assert has_root(f3, (1, 2, 0, 1)) == ((1, 2, 0, 1) in reducible)
+
+
+@pytest.mark.parametrize(
+    "p, degrees", [(2, (2, 3, 4)), (3, (2, 3, 4)), (5, (3,))], ids=["GF2", "GF3", "GF5"]
+)
+def test_is_primitive_matches_the_power_walk_oracle(p, degrees):
+    field = build_field(p)
+    for deg in degrees:
+        primitive = 0
+        for coeffs in itertools.product(range(p), repeat=deg):
+            poly = (*coeffs, 1)
+            # x is not invertible when the constant term is 0
+            want = coeffs[0] != 0 and oracle_power_walk(p, poly) == p**deg - 1
+            assert is_primitive(field, poly) == want, poly
+            primitive += want
+        assert primitive > 0
 
 
 def test_find_primitive_cubic_is_lexicographically_first():
-    f3 = PrimeField(3)
-    chosen = find_primitive_cubic(f3)
+    f3 = build_field(3)
+    chosen = find_primitive_poly(f3, 3)
+    assert is_primitive(f3, chosen)
     for coeffs in itertools.product(range(3), repeat=3):
         poly = (*coeffs, 1)
         if poly == chosen:
             break
         assert not is_primitive(f3, poly)
+
+
+def test_extension_generator_orders():
+    """x, index p, generates the units of every extension field GF(p^k), q <= 31."""
+    for q in (4, 8, 9, 16, 25, 27):
+        p, _ = prime_power_decompose(q)
+        _, mul, _ = build_field(q)
+        powers, elem = set(), 1
+        for _ in range(q - 1):
+            powers.add(elem)
+            elem = mul[elem][p]
+        assert elem == 1 and powers == set(range(1, q)), q
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16])
+def test_field_axioms(q):
+    add, mul, sub = build_field(q)
+    p, _ = prime_power_decompose(q)
+    elems = range(q)
+    for a in elems:
+        assert add[a][0] == a and mul[a][1] == a and mul[a][0] == 0
+        assert add[a][sub[0][a]] == 0
+        assert a == 0 or any(mul[a][b] == 1 for b in elems)
+        multiple = 0
+        for _ in range(p):
+            multiple = add[multiple][a]
+        assert multiple == 0  # characteristic p
+        for b in elems:
+            assert add[a][b] == add[b][a] and mul[a][b] == mul[b][a]
+            assert add[sub[a][b]][b] == a
+            for c in elems:
+                assert add[add[a][b]][c] == add[a][add[b][c]]
+                assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+
+
+def test_frobenius_identity():
+    for q in (4, 8, 9, 16):
+        add, mul, _ = build_field(q)
+        p, k = prime_power_decompose(q)
+
+        def frob(a):
+            out = 1
+            for _ in range(p):
+                out = mul[out][a]
+            return out
+
+        images = [frob(a) for a in range(q)]
+        assert sorted(images) == list(range(q))  # an automorphism
+        for a in range(q):
+            for b in range(q):
+                assert frob(add[a][b]) == add[frob(a)][frob(b)]
+                assert frob(mul[a][b]) == mul[frob(a)][frob(b)]
+            fixed = a
+            for _ in range(k):
+                fixed = frob(fixed)
+            assert fixed == a  # Frobenius has order dividing k
+        assert sum(frob(a) == a for a in range(q)) == p  # its fixed field is GF(p)
 
 
 def test_singer_q2_lies_in_bruteforce_perfect_family():
@@ -125,6 +297,7 @@ def test_singer_q3_with_published_cubic():
     ss = singer_set(3, modulus=(1, 1, 2, 1))
     assert ss.exponents_raw == (0, 1, 17, 19)
     assert ss.set.elements == (0, 1, 4, 6)
+    assert ss.poly_used == (1, 1, 2, 1)
     assert ss.n == 13
 
 
@@ -138,25 +311,17 @@ def test_singer_all_supported_q():
         assert classify_set(CandidateSet(build_cyclic(ss.n), ss.set.elements)).verdict == PERFECT
 
 
+@pytest.mark.parametrize("q", [q for q in range(2, 32) if prime_power_decompose(q)])
+def test_singer_matches_pinned_outputs(q):
+    ss = singer_set(q)
+    assert (ss.poly_used, ss.exponents_raw, ss.set.elements) == PINNED[q]
+    assert ss.classification.verdict == PERFECT
+
+
 def test_singer_deterministic():
     first, second = singer_set(4), singer_set(4)
     assert first.set.elements == second.set.elements
     assert first.poly_used == second.poly_used
-
-
-def test_extension_generator_orders():
-    for p, k in [(2, 2), (2, 3), (3, 2)]:
-        f = build_field(p, k)
-        assert multiplicative_order(f, f.x) == f.cardinality - 1
-
-
-def test_frobenius_identity():
-    for p, k in [(3, 2), (2, 3)]:
-        f = build_field(p, k)
-        frob = lambda a: f.pow(a, p)
-        for a in range(f.cardinality):
-            for b in range(0, f.cardinality, 2):
-                assert frob(f.add(a, b)) == f.add(frob(a), frob(b))
 
 
 def test_singer_rejections():
@@ -164,10 +329,22 @@ def test_singer_rejections():
         singer_set(6)
     with pytest.raises(ValidationError):
         singer_set(1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="not primitive"):
         singer_set(3, modulus=(1, 0, 0, 1))  # x^3 + 1 is reducible
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="not primitive"):
         singer_set(2, modulus=(1, 1, 1, 1))  # x^3+x^2+x+1 = (x+1)^3 over GF(2)
+    with pytest.raises(ValidationError, match="out of range"):
+        singer_set(4, modulus=(9, 1, 1, 1))
+    with pytest.raises(ValidationError, match="out of range"):
+        singer_set(3, modulus=(-1, 1, 0, 1))
+    with pytest.raises(ValidationError, match="monic cubic"):
+        singer_set(3, modulus=(1, 1, 2))
+    with pytest.raises(ValidationError, match="monic cubic"):
+        singer_set(3, modulus=(1, 1, 2, 2))
+    # the group order q^2+q+1 is checked before any field is built
+    for q in (32, 37, 1024, 10**12 + 39):
+        with pytest.raises(CapacityError, match=str(q * q + q + 1)):
+            singer_set(q)
 
 
 def test_published_sets_fixture():
