@@ -3,13 +3,15 @@
 Part 0 holds the n group elements; part 1 holds m further copies, and copy
 vertex (l, v) is adjacent to (0, v*sigma) for every sigma in the chosen set.
 Part-0 vertices therefore have degree m*s and part-1 vertices degree s.
+Left multiplication by any group element, and any permutation of the copies,
+is an automorphism, so such a graph has two vertex orbits: part 0 and part 1.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .diffsets import CandidateSet
 from .errors import UsageError, ValidationError
@@ -19,13 +21,21 @@ EXPORT_FORMATS = ("edge-list", "dot", "json")
 
 @dataclass
 class BiGraph:
-    """Vertices 0..n-1 are part 0; vertex n + (l-1)*n + v is copy l's v."""
+    """Vertices 0..n-1 are part 0; vertex n + (l-1)*n + v is copy l's v.
+
+    ``source`` is the set the adjacency was built from, or None for a graph
+    of unknown origin (such as one from :func:`load_graph_json`).  While it is
+    set, :func:`diameter` and :func:`find_repeats` rely on the group action and
+    search from one vertex per orbit.  A caller that edits ``adjacency`` must
+    clear it first: ``dataclasses.replace(graph, source=None)``.
+    """
 
     n: int
     m: int
     s: int
     group_name: str
     adjacency: list[list[int]]
+    source: CandidateSet | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.adjacency) != (self.m + 1) * self.n:
@@ -114,7 +124,7 @@ def build_difference_graph(cand: CandidateSet, m: int) -> BiGraph:
                 u = row[sigma]
                 adjacency[u].append(copy_vertex)
                 adjacency[copy_vertex].append(u)
-    return BiGraph(n=n, m=m, s=s, group_name=group.name, adjacency=adjacency)
+    return BiGraph(n=n, m=m, s=s, group_name=group.name, adjacency=adjacency, source=cand)
 
 
 def _bfs_distances(adjacency: list[list[int]], source: int) -> list[int]:
@@ -132,13 +142,21 @@ def _bfs_distances(adjacency: list[list[int]], source: int) -> list[int]:
 
 
 def diameter(graph: BiGraph) -> DiameterReport:
-    """Exact diameter by BFS from every vertex; None when disconnected."""
-    adjacency = graph.adjacency
+    """Exact diameter by BFS; None when disconnected.
+
+    A graph from :func:`build_difference_graph` is certified by its two vertex
+    orbits: BFS from vertex 0 and vertex n gives every eccentricity.  A graph
+    without ``source`` (one loaded from json) falls back to BFS from every
+    vertex.  The witness is, either way, the first vertex of largest
+    eccentricity and the first vertex farthest from it.
+    """
+    n, count = graph.n, graph.vertex_count
+    sources = range(count) if graph.source is None else (0, n)
     eccs: list[int | None] = []
     finite_best, finite_witness = 0, (0, 0)
     infinite_witness: tuple[int, int] | None = None
-    for v in range(graph.vertex_count):
-        dist = _bfs_distances(adjacency, v)
+    for v in sources:
+        dist = _bfs_distances(graph.adjacency, v)
         if -1 in dist:
             eccs.append(None)
             if infinite_witness is None:
@@ -148,6 +166,8 @@ def diameter(graph: BiGraph) -> DiameterReport:
             eccs.append(ecc)
             if ecc > finite_best:
                 finite_best, finite_witness = ecc, (v, dist.index(ecc))
+    if graph.source is not None:
+        eccs = [eccs[0]] * n + [eccs[1]] * (count - n)
     if infinite_witness is not None:
         return DiameterReport(None, tuple(eccs), infinite_witness)
     return DiameterReport(finite_best, tuple(eccs), finite_witness)
@@ -166,18 +186,41 @@ def verify_biregular(graph: BiGraph) -> BiregularCheck:
     return BiregularCheck(True, degrees[0], degrees[1], None)
 
 
+def _shared_neighbours(adjacency: list[list[int]], u: int) -> tuple[tuple[int, int], ...]:
+    """The vertices sharing >= 2 neighbors with u, with the shared counts, sorted."""
+    shared: dict[int, int] = {}
+    for w in adjacency[u]:
+        for v in adjacency[w]:
+            if v != u:
+                shared[v] = shared.get(v, 0) + 1
+    return tuple(sorted((v, c) for v, c in shared.items() if c >= 2))
+
+
 def find_repeats(graph: BiGraph, part: int) -> RepeatReport:
-    """For each vertex of the part, the same-part vertices sharing >= 2 neighbors."""
+    """For each vertex of the part, the same-part vertices sharing >= 2 neighbors.
+
+    A graph from :func:`build_difference_graph` is certified by its orbits:
+    the row of the identity of part 0 (of each copy, for part 1) is computed,
+    and left multiplication by g maps it to the row of g.  A graph without
+    ``source`` (one loaded from json) falls back to one row per vertex.
+    """
     if part not in (0, 1):
         raise UsageError(f"part must be 0 or 1, got {part}")
+    adjacency = graph.adjacency
+    if graph.source is None:
+        rows = {u: _shared_neighbours(adjacency, u) for u in graph.part_vertices(part)}
+        return RepeatReport(part=part, repeats=rows)
+    n, mul = graph.n, graph.source.group.mul
+    # block[x] is group element x in one copy (block 0 is part 0); left
+    # multiplication by g maps it to block[g*x].  Indexing shares the vertex
+    # ints between rows instead of allocating one per entry.
+    blocks = [list(range(b, b + n)) for b in range(0, graph.vertex_count, n)]
     repeats: dict[int, tuple[tuple[int, int], ...]] = {}
-    for u in graph.part_vertices(part):
-        shared: dict[int, int] = {}
-        for w in graph.adjacency[u]:
-            for v in graph.adjacency[w]:
-                if v != u:
-                    shared[v] = shared.get(v, 0) + 1
-        repeats[u] = tuple(sorted((v, c) for v, c in shared.items() if c >= 2))
+    for base in graph.part_vertices(part)[::n]:
+        row = [(blocks[v // n], v % n, c) for v, c in _shared_neighbours(adjacency, base)]
+        for g in range(n):
+            left = mul[g]
+            repeats[base + g] = tuple(sorted([(block[left[x]], c) for block, x, c in row]))
     return RepeatReport(part=part, repeats=repeats)
 
 

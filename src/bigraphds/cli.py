@@ -96,10 +96,10 @@ def _cmd_singer(args) -> tuple[dict, str, int]:
     _require(args.q >= 2, f"q must be >= 2, got {args.q}")
     modulus = None
     if args.poly:
-        try:
-            modulus = tuple(int(c) for c in args.poly.split(","))
-        except ValueError:
-            raise UsageError(f"--poly must be comma-separated integers, got {args.poly!r}")
+        coeffs = args.poly.split(",")
+        _require(all(map(str.isdecimal, coeffs)),
+                 f"--poly must be comma-separated integers, got {args.poly!r}")
+        modulus = tuple(map(int, coeffs))
     ss = singer.singer_set(args.q, modulus=modulus)
     payload = _jsonable(ss)
     lines = [

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
+import random
+import time
 
 import networkx as nx
 import pytest
@@ -20,7 +24,8 @@ from bigraphds.bigraph import (
 )
 from bigraphds.diffsets import CandidateSet
 from bigraphds.errors import UsageError, ValidationError
-from bigraphds.groups import build_cyclic, build_semidirect
+from bigraphds.groups import build_cyclic, build_semidirect, parse_cayley_table, parse_group_spec
+from bigraphds.singer import singer_set
 
 
 def graph_over_z(n, elems, m):
@@ -288,3 +293,119 @@ def test_vertex_and_edge_counts(data):
     assert graph.edge_count == m * n * s
     check = verify_biregular(graph)
     assert check.ok and check.degrees == (m * s, s)
+
+
+def relabeled(group, seed):
+    """The group's table under a random relabeling, read back by parse_cayley_table."""
+    n = group.order
+    old = list(range(n))
+    random.Random(seed).shuffle(old)  # new element i is old element old[i]
+    new = {x: i for i, x in enumerate(old)}
+    rows = (" ".join(str(new[group.mul[old[i]][old[j]]]) for j in range(n)) for i in range(n))
+    return parse_cayley_table(f"{n}\n" + "\n".join(rows), name=f"relabeled {group.name}")
+
+
+def orbit_grid():
+    """Graphs of every set of size <= 3 in the small groups, and chosen sets in larger
+    ones: the identity alone, a subgroup, sets without the identity and random sets."""
+    small = [build_cyclic(6), build_cyclic(8), parse_group_spec("product:cyclic:2,cyclic:4"),
+             build_semidirect(3, 2, 2)]
+    large = [parse_group_spec("semidirect:7,3,2"), relabeled(parse_group_spec("semidirect:7,3,2"), 1),
+             parse_group_spec("semidirect:5,4,2"), parse_group_spec("product:cyclic:2,cyclic:6")]
+    rng = random.Random(0)
+    for group in small:
+        for size in (1, 2, 3):
+            for elems in itertools.combinations(range(group.order), size):
+                for m in (1, 2, 3):
+                    yield build_difference_graph(CandidateSet(group, elems), m)
+    for group in large:
+        n = group.order
+        subgroup = tuple(sorted({group.power(1, k) for k in range(group.element_orders[1])}))
+        # in Z7:Z3, S = {0..5} has a covering inverse but is not covering, so
+        # part 1 has the larger eccentricity (4 against 3) and holds the witness
+        sets = [(0,), subgroup, (1, 2), tuple(range(1, 4)), tuple(range(6))]
+        sets += [tuple(rng.sample(range(n), rng.randint(2, 4))) for _ in range(6)]
+        for elems in sets:
+            for m in (1, 2, 3):
+                yield build_difference_graph(CandidateSet(group, elems), m)
+
+
+def test_orbit_certification_matches_all_source_oracle():
+    from_part1 = disconnected = 0
+    for graph in orbit_grid():
+        oracle = dataclasses.replace(graph, source=None)
+        assert graph.source is not None and oracle.source is None
+        report = diameter(graph)
+        assert report == diameter(oracle), (graph.group_name, graph.source.elements, graph.m)
+        for part in (0, 1):
+            assert find_repeats(graph, part) == find_repeats(oracle, part)
+        from_part1 += report.witness[0] == graph.n
+        disconnected += report.diameter is None
+    # the grid holds witnesses from either orbit and disconnected graphs
+    assert from_part1 and disconnected
+
+
+def test_orbit_certification_matches_networkx():
+    z7z3 = parse_group_spec("semidirect:7,3,2")
+    cases = [
+        build_difference_graph(CandidateSet(relabeled(build_semidirect(5, 8, 2), 2), (0, 1, 4, 15)), 2),
+        build_difference_graph(CandidateSet(z7z3, (3, 5, 8)), 3),
+        build_difference_graph(CandidateSet(z7z3, tuple(range(6))), 2),  # witness in part 1
+        build_difference_graph(CandidateSet(parse_group_spec("product:cyclic:2,cyclic:6"), (1, 4, 9)), 1),
+        graph_over_z(9, (3, 6), 2),  # inside the subgroup {0, 3, 6}: disconnected
+    ]
+    for graph in cases:
+        rep = diameter(graph)
+        nx_graph = to_networkx(graph)
+        if nx.is_connected(nx_graph):
+            eccs = nx.eccentricity(nx_graph)
+            assert rep.eccentricities == tuple(eccs[v] for v in range(graph.vertex_count))
+            assert rep.diameter == max(eccs.values())
+            # the first vertex of largest eccentricity, the first vertex farthest from it
+            u = min(v for v, e in eccs.items() if e == rep.diameter)
+            far = nx.single_source_shortest_path_length(nx_graph, u)
+            assert rep.witness == (u, min(v for v, d in far.items() if d == rep.diameter))
+        else:
+            assert rep.diameter is None and set(rep.eccentricities) == {None}
+            reached = nx.node_connected_component(nx_graph, 0)
+            assert rep.witness == (0, min(set(nx_graph) - reached))
+
+
+def test_loaded_graph_falls_back_to_all_source_search():
+    group = relabeled(build_semidirect(7, 3, 2), 3)
+    for elems, m in [((0, 1, 5), 2), ((2, 7), 3), ((0,), 1)]:
+        graph = build_difference_graph(CandidateSet(group, elems), m)
+        loaded = load_graph_json(export_graph(graph, "json"))
+        assert loaded.source is None and loaded == graph
+        assert diameter(loaded) == diameter(graph)
+        for part in (0, 1):
+            assert find_repeats(loaded, part) == find_repeats(graph, part)
+
+
+def test_edited_graph_with_source_cleared_gets_all_source_answer():
+    graph = graph_over_z(7, (0, 1, 3), 2)
+    edited = dataclasses.replace(graph, source=None)
+    w = edited.adjacency[3][0]
+    edited.adjacency[3].remove(w)
+    edited.adjacency[w].remove(3)
+    assert len(graph.adjacency[3]) == 6  # the original keeps its edge
+    eccs = nx.eccentricity(to_networkx(edited))
+    rep = diameter(edited)
+    assert rep.eccentricities == tuple(eccs[v] for v in range(edited.vertex_count))
+    assert rep.eccentricities != diameter(graph).eccentricities
+    for part in (0, 1):
+        shared = {
+            u: tuple((v, c) for v in edited.part_vertices(part)
+                     if v != u and (c := len(set(edited.adjacency[u]) & set(edited.adjacency[v]))) >= 2)
+            for u in edited.part_vertices(part)
+        }
+        assert find_repeats(edited, part).repeats == shared
+
+
+def test_large_singer_graph_is_certified_quickly():
+    graph = build_difference_graph(singer_set(11).set, 20)
+    assert graph.vertex_count == 2793
+    start = time.perf_counter()
+    rep = diameter(graph)
+    assert time.perf_counter() - start < 1.0
+    assert rep.diameter == 3 and set(rep.eccentricities) == {3}
