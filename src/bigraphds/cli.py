@@ -193,8 +193,8 @@ def _cmd_search(args) -> tuple[dict, str, int]:
         f"{out.group_name} size {out.size} (slack {out.slack}): "
         f"{len(out.found)} covering set(s)"
         + (", search exhausted" if out.exhausted else ", stopped early")
-        + f"; examined={out.candidates_examined}, pruned={out.candidates_pruned}, "
-        f"{out.wall_time_ms} ms"
+        + f"; examined={out.candidates_examined}, pruned={out.candidates_pruned} "
+        f"(orbit rule {sum(out.orbit_pruned_by_depth)}), {out.wall_time_ms} ms"
     ]
     shown = out.found[:20]
     lines.extend(

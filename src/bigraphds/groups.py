@@ -11,7 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import CapacityError, UsageError, ValidationError
 
@@ -182,17 +182,8 @@ def _find_latin_violation(mul: Sequence[Sequence[int]]) -> tuple[int, int] | Non
     return None
 
 
-def _find_associativity_violation(
-    mul: Sequence[Sequence[int]],
-) -> tuple[int, int, int] | None:
-    """A triple (x, a, y) with (x*a)*y != x*(a*y), or None, by Light's test.
-
-    The elements a with (x*a)*y == x*(a*y) for all x, y are closed under
-    products (Clifford & Preston, 1961), so checking generators suffices.  Each
-    is the least element not yet reached, and the reached set is then closed
-    under right multiplication by them: never assuming an identity, the walk
-    reaches only products of checked elements.
-    """
+def _greedy_generators(mul: Sequence[Sequence[int]]) -> list[int]:
+    """Each the least element not reached by right products of those before (0 in a group)."""
     n = len(mul)
     reached = [False] * n
     gens: list[int] = []
@@ -208,11 +199,60 @@ def _find_associativity_violation(
                 if not reached[y]:
                     reached[y] = True
                     stack.append(y)
+    return gens
+
+
+def _find_associativity_violation(
+    mul: Sequence[Sequence[int]],
+) -> tuple[int, int, int] | None:
+    """A triple (x, a, y) with (x*a)*y != x*(a*y), or None, by Light's test.
+
+    The elements a with (x*a)*y == x*(a*y) for all x, y are closed under
+    products (Clifford & Preston, 1961), so checking the greedy generators
+    suffices: their walk reaches only products of checked elements.
+    """
+    n = len(mul)
+    gens = _greedy_generators(mul)
     for a, x in itertools.product(gens, range(n)):
         arow, row, xa_row = mul[a], mul[x], mul[mul[x][a]]  # a*y, x*y, (x*a)*y
         if [row[v] for v in arow] != list(xa_row):
             return (x, a, next(y for y in range(n) if xa_row[y] != row[arow[y]]))
     return None
+
+
+def _spread(mul: Sequence[Sequence[int]], gens: list[int], phi: list[int]) -> bool:
+    """Set phi (-1 where unset) by phi(h*a) = phi(h)*phi(a); False unless one-to-one."""
+    stack = [h for h, v in enumerate(phi) if v >= 0]
+    while stack:
+        h = stack.pop()
+        for a in gens:
+            y, img = mul[h][a], mul[phi[h]][phi[a]]
+            if phi[y] < 0:
+                phi[y] = img
+                stack.append(y)
+            elif phi[y] != img:
+                return False
+    return phi.count(0) == 1  # a homomorphism with a trivial kernel
+
+
+def automorphisms(group: Group) -> Iterator[tuple[int, ...]]:
+    """Every automorphism as an image tuple, phi[x] = phi(x), generated lazily by
+    backtracking on the images of the greedy generators, in lexicographic order."""
+    mul, n, orders = group.mul, group.order, group.element_orders
+    gens = _greedy_generators(mul)[1:]      # without the identity
+
+    def extend(i: int, phi: list[int]) -> Iterator[tuple[int, ...]]:
+        if i == len(gens):
+            yield tuple(phi)
+            return
+        for c in range(1, n):
+            if orders[c] == orders[gens[i]] and c not in phi:
+                image = phi[:]
+                image[gens[i]] = c
+                if _spread(mul, gens[: i + 1], image):
+                    yield from extend(i + 1, image)
+
+    return extend(0, [0] + [-1] * (n - 1))
 
 
 def _find_identity(mul: Sequence[Sequence[int]]) -> int | None:

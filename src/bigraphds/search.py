@@ -10,16 +10,28 @@ the full profile automatically charges a doubled non-involution twice (its
 inverse doubles with it), which is what rules out most candidates early when
 the slack is small.
 
+Involution bound.  A covered involution u = t_i t_j^-1 is also t_j t_i^-1,
+so it costs at least 1 excess; with more involutions than slack the search
+stops at the root.  Otherwise excess starts at the number of involutions,
+and the search's table sends involutions above the diagonal to shadow
+cells n + u: the first pair with difference u charges 0, each later one 2.
+
 The search is anchored on the pair {0, 1}.  If S is covering, the element 1
 is a difference t_i t_j^-1 of S, so the right translate S t_j^-1 contains
-both the identity and 1.  Only the anchored sets (0, 1, ...) are searched:
-they decide existence, and the lexicographically least canonical covering
-set is one of them.  The full enumeration expands each anchored find S into
-its translates S t^-1 for t in S, the canonical sets it stands for, then
-deduplicates and sorts them; a limit cuts that list, so it does not stop the
-search early.  The inverse set of S t^-1 is a left translate of the inverse
-of S, whose differences are conjugates, so the expansion keeps the
-covering-inverse property too.
+both the identity and 1.  Only the anchored sets (0, 1, ...) are searched.
+
+Automorphism rule (orderly generation, McKay 1998).  The maps x -> phi(x g),
+phi in Aut(G), keep covering sets and covering inverses (an inverse set
+goes to a left translate, whose differences are conjugates).  An anchored S
+in partition K survives only if no psi(x) = phi(x a^-1), with a, b in S and
+phi(b a^-1) = 1, sends an element of S into 2..K; triples of S decide it,
+so it prunes partial sets.  The enumeration expands each find S into its
+canonical images phi(S t^-1), t in S, deduplicated and sorted; a limit cuts
+that list, not the search.  The least canonical covering set is least in
+its orbit, so it survives and is the first find, where the existence search
+stops.  Past AUTOMORPHISM_CELLS / n automorphisms, or resumed past partition
+1 (whose output is the translates of its own finds), a search expands by
+translations only.  prune=False runs the plain search with neither rule.
 
 Work is partitioned by the third element: partition K holds the anchored
 sets whose third element is K + 1, for K = 1..n-s+1 (for size 2 the only
@@ -30,6 +42,7 @@ worker count.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import sys
 import time
@@ -37,7 +50,7 @@ from dataclasses import dataclass
 
 from .diffsets import CandidateSet, SetClassification, classify_set
 from .errors import CapacityError, InternalError, UsageError, ValidationError
-from .groups import Group
+from .groups import Group, automorphisms
 
 
 @dataclass(frozen=True)
@@ -96,6 +109,8 @@ class SearchOutcome:
     # Indexed by the size of the candidate set; each sums to the total above.
     examined_by_depth: tuple[int, ...] = ()
     pruned_by_depth: tuple[int, ...] = ()
+    # The automorphism rule's share of pruned_by_depth.
+    orbit_pruned_by_depth: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -109,11 +124,14 @@ class SweepRow:
     wall_time_ms: int
 
 
-# Per-process search state, installed by the pool initializer (or directly
-# for inline runs): (diff_table, inv, n, s, slack, prune, stop_after_first,
-# require_inverse_covering), and the pool's shared stop flag (None inline).
+# Per-process search state, installed by the pool initializer (or directly for
+# inline runs): (table, inv, n, s, slack, prune, stop_after_first, require_inverse,
+# excess0, orbit table or None), and the pool's shared stop flag (None inline).
 _STATE: tuple | None = None
 _HALT = None
+
+# Past this many image cells (automorphisms times order) keep translations only.
+AUTOMORPHISM_CELLS = 2_000_000
 
 
 def _set_state(state: tuple, halt=None) -> None:
@@ -121,26 +139,25 @@ def _set_state(state: tuple, halt=None) -> None:
     _STATE, _HALT = state, halt
 
 
-def _inverse_is_covering(elems: tuple[int, ...], dt, inv, n: int) -> bool:
+def _inverse_is_covering(elems: tuple[int, ...], table, inv, n: int) -> bool:
     inverse = [inv[t] for t in elems]
-    covered = {dt[x][y] for x in inverse for y in inverse if x != y}
+    covered = {table[x][y] % n for x in inverse for y in inverse if x != y}  # n + u is u
     return len(covered) == n - 1
 
 
-def _search_partition(k: int) -> tuple[int, list[tuple[int, ...]], list[int], list[int]]:
+def _search_partition(k: int) -> tuple[int, list[tuple[int, ...]], list[list[int]]]:
     """Search the anchored sets (0, 1, k + 1, ...); for size 2, the set (0, 1).
 
-    Returns the finds in lexicographic order and the examined and pruned
-    counts indexed by the size of the candidate set.
+    Returns the finds in lexicographic order and the examined, pruned and
+    orbit-pruned counts indexed by the size of the candidate set.
     """
-    dt, inv, n, s, slack, prune, stop_after_first, require_inverse = _STATE
+    table, inv, n, s, slack, prune, stop_after_first, require_inverse, excess0, orbit = _STATE
     halt = _HALT
-    examined = [0] * (s + 1)
-    pruned = [0] * (s + 1)
+    examined, pruned, orbit_pruned = tallies = [[0] * (s + 1) for _ in range(3)]
     finds: list[tuple[int, ...]] = []
     if halt is not None and halt.value:
-        return k, finds, examined, pruned
-    counts = [0] * n
+        return k, finds, tallies
+    counts = [0] * (2 * n)
     partial = [0]
     # The element added at each of these sizes is fixed: the anchor 1, then
     # this partition's third element.
@@ -149,11 +166,11 @@ def _search_partition(k: int) -> tuple[int, list[tuple[int, ...]], list[int], li
     def extend(excess: int, start: int) -> bool:
         size = len(partial)
         xs = (forced[size],) if size < len(forced) else range(start, n - s + size + 1)
-        ex = pr = 0
+        ex = pr = op = 0
         stop = False
         for x in xs:
             ex += 1
-            rowx = dt[x]
+            rowx = table[x]
             exc = excess
             added = []
             rejected = False
@@ -164,7 +181,7 @@ def _search_partition(k: int) -> tuple[int, list[tuple[int, ...]], list[int], li
                     exc += 1
                 counts[d1] = c + 1
                 added.append(d1)
-                d2 = dt[t][x]
+                d2 = table[t][x]
                 c = counts[d2]
                 if c:
                     exc += 1
@@ -173,6 +190,12 @@ def _search_partition(k: int) -> tuple[int, list[tuple[int, ...]], list[int], li
                 if prune and exc > slack:
                     rejected = True
                     break
+            if not rejected and orbit is not None and size > 1:
+                # The new triples {t, t', x}, translated to {t x^-1, t' x^-1, e}.
+                right = added[1::2]
+                rejected = any(orbit[right[i]][right[j]] <= k
+                               for i in range(1, size) for j in range(i))
+                op += rejected
             if rejected:
                 pr += 1
             elif size + 1 < s:
@@ -182,7 +205,7 @@ def _search_partition(k: int) -> tuple[int, list[tuple[int, ...]], list[int], li
                 partial.pop()
             elif exc <= slack:
                 elems = (*partial, x)
-                if not require_inverse or _inverse_is_covering(elems, dt, inv, n):
+                if not require_inverse or _inverse_is_covering(elems, table, inv, n):
                     finds.append(elems)
                     stop = stop_after_first
             for d in added:
@@ -192,15 +215,29 @@ def _search_partition(k: int) -> tuple[int, list[tuple[int, ...]], list[int], li
         # Counted per frame: a list update per node would sit in the hottest loop.
         examined[size + 1] += ex
         pruned[size + 1] += pr
+        orbit_pruned[size + 1] += op
         return stop
 
-    extend(0, 1)
-    return k, finds, examined, pruned
+    extend(excess0, 1)
+    return k, finds, tallies
 
 
-def _difference_table(group: Group) -> list[list[int]]:
-    mul, inv = group.mul, group.inv
-    return [[mul[x][inv[t]] for t in range(group.order)] for x in range(group.order)]
+def _orbit_table(dt: list[list[int]], auts: list[tuple[int, ...]]) -> list[list[int]]:
+    """orbit[d][u] <= K when a set holding e, d and u fails the rule in partition K:
+    the least phi(u) with phi(d) = 1, over the six orders of the triple; n + u is u."""
+    n, inv = len(dt), dt[0]
+    least = [[n] * n for _ in range(n)]
+    for phi in auts:
+        row = least[phi.index(1)]
+        row[:] = map(min, row, phi)
+
+    def cell(d: int, u: int) -> int:
+        ud, du = dt[u][d], dt[d][u]
+        return min(least[d][u], least[u][d], least[inv[d]][ud], least[ud][inv[d]],
+                   least[inv[u]][du], least[du][inv[u]])
+
+    orbit = [[cell(d, u) if d and u and d != u else n for u in range(n)] * 2 for d in range(n)]
+    return orbit * 2
 
 
 def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
@@ -208,30 +245,21 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
     group = config.group
     n, s = group.order, config.size
     slack = s * (s - 1) - (n - 1)
-    dt = _difference_table(group)
-    state = (
-        dt,
-        tuple(group.inv),
-        n,
-        s,
-        slack,
-        config.prune,
-        stop_on_find,
-        config.require_inverse_covering,
-    )
-    todo = list(range(config.resume_from, config.partitions + 1))
+    involutions = len(group.involutions()) if config.prune else 0
+    # Each covered involution costs at least 1 excess: past the slack, no set covers.
+    todo = [] if involutions > slack else list(range(config.resume_from, config.partitions + 1))
 
     raw_finds: list[tuple[int, ...]] = []
-    examined = [0] * (s + 1)
-    pruned = [0] * (s + 1)
+    # Examined, pruned and orbit-pruned nodes, indexed by the candidate's size.
+    totals = [[0] * (s + 1) for _ in range(3)]
+    maps: list = [range(n)]        # the automorphisms, or the identity alone
     done = 0
 
-    def consume(result: tuple[int, list[tuple[int, ...]], list[int], list[int]]) -> bool:
+    def consume(result: tuple[int, list[tuple[int, ...]], list[list[int]]]) -> bool:
         nonlocal done
-        k, finds, ex, pr = result
-        for size in range(s + 1):
-            examined[size] += ex[size]
-            pruned[size] += pr[size]
+        k, finds, tallies = result
+        for total, tally in zip(totals, tallies):
+            total[:] = map(sum, zip(total, tally))
         raw_finds.extend(finds)
         done += 1
         if config.report_interval and (done % config.report_interval == 0 or done == len(todo)):
@@ -244,6 +272,19 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
         return stop_on_find and bool(raw_finds)
 
     if todo:
+        dt = [[group.mul[x][group.inv[t]] for t in range(n)] for x in range(n)]
+        table, orbit = dt, None
+        if config.prune:  # shadow cells n + u for the involutions above the diagonal
+            shadow = [d + n if group.element_orders[d] == 2 else d for d in range(n)]
+            table = [row[: t + 1] + [shadow[d] for d in row[t + 1 :]] for t, row in enumerate(dt)]
+            # A resumed search outputs the translates of the finds in its own
+            # partitions, so only a whole search may skip non-canonical orbits.
+            cap = AUTOMORPHISM_CELLS // n
+            auts = config.resume_from == 1 and list(itertools.islice(automorphisms(group), cap + 1))
+            if auts and len(auts) <= cap:
+                maps, orbit = auts, _orbit_table(dt, auts)
+        state = (table, tuple(group.inv), n, s, slack, config.prune, stop_on_find,
+                 config.require_inverse_covering, involutions, orbit)
         if config.worker_count == 1 or len(todo) == 1:
             _set_state(state)
             for k in todo:
@@ -269,9 +310,11 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
     if stop_on_find:
         sets = raw_finds[:1]
     else:
-        # An anchored find S stands for its translates S t^-1, t in S.
-        translates = {tuple(sorted(dt[x][t] for x in elems)) for elems in raw_finds for t in elems}
-        sets = sorted(translates)[: config.limit]
+        # An anchored find S stands for its images phi(S t^-1), t in S.
+        mul, inv = group.mul, group.inv
+        images = {tuple(sorted(phi[mul[x][inv[t]]] for x in elems))
+                  for elems in raw_finds for t in elems for phi in maps}
+        sets = sorted(images)[: config.limit]
     found = []
     for elems in sets:
         cls = classify_set(CandidateSet(group, elems))
@@ -283,12 +326,13 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
         size=s,
         slack=slack,
         found=tuple(found),
-        candidates_examined=sum(examined),
-        candidates_pruned=sum(pruned),
+        candidates_examined=sum(totals[0]),
+        candidates_pruned=sum(totals[1]),
         exhausted=exhausted,
         wall_time_ms=int((time.monotonic() - t0) * 1000),
-        examined_by_depth=tuple(examined),
-        pruned_by_depth=tuple(pruned),
+        examined_by_depth=tuple(totals[0]),
+        pruned_by_depth=tuple(totals[1]),
+        orbit_pruned_by_depth=tuple(totals[2]),
     )
 
 

@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import bigraphds
 
 from bigraphds.bigraph import export_graph, load_graph_json
 from bigraphds.cli import main
@@ -215,3 +221,12 @@ def test_help_mentions_all_commands(capsys):
     out = capsys.readouterr().out
     for cmd in ("bound", "table", "singer", "classify", "graph", "search", "sweep", "validate-group", "repro"):
         assert cmd in out
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(bigraphds.__file__).parents[1])}
+    argv = [sys.executable, "-m", "bigraphds", "search", "--group", "cyclic:7", "--size", "3",
+            "--workers", "1", "--json"]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["payload"]["found"][0]["set"] == [0, 1, 3]

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -19,6 +21,7 @@ from bigraphds.groups import (
     Group,
     _find_associativity_violation,
     abelian_order40_groups,
+    automorphisms,
     build_cyclic,
     build_direct_product,
     build_semidirect,
@@ -393,3 +396,45 @@ def test_import_does_not_load_numpy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def euler_phi(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def shuffled_table(g, seed):
+    """The Cayley table of g under a seeded relabeling."""
+    perm = list(range(g.order))
+    random.Random(seed).shuffle(perm)
+    old = [0] * g.order
+    for x, y in enumerate(perm):
+        old[y] = x
+    rows = (" ".join(str(perm[g.mul[a][b]]) for b in old) for a in old)
+    return f"{g.order}\n" + "\n".join(rows) + "\n"
+
+
+Z2 = build_cyclic(2)
+AUTOMORPHISM_COUNTS = [(build_cyclic(n), euler_phi(n)) for n in (1, 2, 6, 7, 12, 13, 39)] + [
+    (build_direct_product(Z2, Z2), 6),
+    (build_semidirect(3, 2, 2), 6),                                 # S3
+    (build_direct_product(build_direct_product(Z2, Z2), Z2), 168),  # GL(3, 2)
+    (build_semidirect(4, 2, 3), 8),                                 # D4
+    (build_semidirect(7, 3, 2), 42),                                # Z7 x| Z3
+    (build_direct_product(build_cyclic(4), build_cyclic(4)), 96),   # GL(2, Z4)
+]
+
+
+@pytest.mark.parametrize(
+    "group,count", AUTOMORPHISM_COUNTS, ids=[g.name for g, _ in AUTOMORPHISM_COUNTS]
+)
+def test_automorphism_counts(group, count):
+    n, mul = group.order, group.mul
+    auts = list(automorphisms(group))
+    assert len(auts) == len(set(auts)) == count
+    for phi in auts:
+        assert sorted(phi) == list(range(n))
+        assert all(phi[mul[x][y]] == mul[phi[x]][phi[y]] for x in range(n) for y in range(n))
+    closed = set(auts)
+    assert all(tuple(a[b[x]] for x in range(n)) in closed for a in auts for b in auts)
+    loaded = parse_cayley_table(shuffled_table(group, n), name="relabeled")
+    assert len(list(automorphisms(loaded))) == count

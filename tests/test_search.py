@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import multiprocessing
 import multiprocessing.pool
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,13 @@ from hypothesis import strategies as st
 from bigraphds.diffsets import PERFECT, CandidateSet, classify_set, inverse_set
 from bigraphds import search
 from bigraphds.errors import InternalError, ValidationError
-from bigraphds.groups import build_cyclic, build_direct_product, build_semidirect
+from bigraphds.groups import (
+    build_cyclic,
+    build_direct_product,
+    build_semidirect,
+    parse_cayley_table,
+    parse_group_spec,
+)
 from bigraphds.search import (
     SearchConfig,
     enumerate_covering_sets,
@@ -323,3 +331,151 @@ def test_pruning_safety_random(n, s):
     pruned = enumerate_covering_sets(SearchConfig(group, s, prune=True))
     plain = enumerate_covering_sets(SearchConfig(group, s, prune=False))
     assert [f.elements for f in pruned.found] == [f.elements for f in plain.found]
+
+
+def canonical_covering_sets(group, size):
+    """Brute force over every canonical set: the covering size-sets containing 0."""
+    n, mul, inv = group.order, group.mul, group.inv
+    out = []
+    for rest in itertools.combinations(range(1, n), size - 1):
+        elems = (0, *rest)
+        if len({mul[x][inv[y]] for x in elems for y in elems if x != y}) == n - 1:
+            out.append(elems)
+    return out
+
+
+def relabeled(group, rng):
+    """The group loaded through parse_cayley_table after shuffling its labels."""
+    n = group.order
+    perm = list(range(n))      # perm[old label] = new label
+    rng.shuffle(perm)
+    old = [0] * n
+    for x, y in enumerate(perm):
+        old[y] = x
+    rows = [" ".join(str(perm[group.mul[a][b]]) for b in old) for a in old]
+    return parse_cayley_table(f"{n}\n" + "\n".join(rows) + "\n", name=f"{group.name}*")
+
+
+SYMMETRY_GROUPS = [build_cyclic(n) for n in range(17, 22)] + [
+    build_direct_product(build_cyclic(2), build_cyclic(2)),
+    build_direct_product(build_cyclic(2), build_cyclic(4)),
+    build_direct_product(build_direct_product(build_cyclic(2), build_cyclic(2)), build_cyclic(2)),
+    build_direct_product(build_cyclic(3), build_cyclic(3)),
+    build_direct_product(build_cyclic(3), build_cyclic(5)),
+    build_direct_product(build_cyclic(2), build_cyclic(8)),
+    build_direct_product(build_cyclic(4), build_cyclic(4)),
+    build_semidirect(3, 2, 2),  # S3
+    build_semidirect(4, 2, 3),  # D4
+    build_semidirect(5, 4, 2),  # Z5 x| Z4
+    build_semidirect(7, 3, 2),  # Z7 x| Z3
+    build_semidirect(9, 2, 8),  # D9
+]
+RELABELED = [build_cyclic(13), build_cyclic(20), build_cyclic(21)] + SYMMETRY_GROUPS[-8:]
+SYMMETRY_GROUPS += [relabeled(g, random.Random(seed)) for seed, g in enumerate(RELABELED)]
+
+
+def symmetry_sizes(group):
+    """The least size that can cover (by counting), the one below and the one above."""
+    s0 = next(s for s in itertools.count(2) if s * (s - 1) >= group.order - 1)
+    return [s for s in (s0 - 1, s0, s0 + 1) if 2 <= s <= group.order]
+
+
+@pytest.mark.parametrize("group", SYMMETRY_GROUPS, ids=[g.name for g in SYMMETRY_GROUPS])
+def test_symmetry_rules_match_brute_force_and_the_plain_search(group):
+    # Brute force over the canonical sets and the plain anchored search
+    # (prune=False) are the oracles for both rules and the expansion by
+    # automorphisms and translates.
+    for s in symmetry_sizes(group):
+        covering = canonical_covering_sets(group, s)
+        for inverse in (False, True):
+            want = [
+                e for e in covering
+                if not inverse or classify_set(inverse_set(CandidateSet(group, e))).is_covering
+            ]
+            plain = SearchConfig(group, s, require_inverse_covering=inverse, prune=False)
+            assert [f.elements for f in enumerate_covering_sets(plain).found] == want
+            assert [f.elements for f in exists_covering_set(plain).found] == want[:1]
+            for workers in (1, 2):
+                config = SearchConfig(
+                    group, s, require_inverse_covering=inverse, worker_count=workers
+                )
+                out = enumerate_covering_sets(config)
+                assert [f.elements for f in out.found] == want and out.exhausted
+                assert sum(out.orbit_pruned_by_depth) <= out.candidates_pruned
+                witness = exists_covering_set(config)
+                assert [f.elements for f in witness.found] == want[:1]
+                assert witness.exhausted == (not want)
+
+
+RELABEL_CASES = [
+    (build_cyclic(13), 4), (build_cyclic(21), 5), (build_cyclic(19), 5),
+    (build_semidirect(7, 3, 2), 5), (build_semidirect(5, 4, 2), 5),
+    (build_semidirect(9, 2, 8), 5), (build_direct_product(build_cyclic(4), build_cyclic(4)), 5),
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(RELABEL_CASES), st.randoms(use_true_random=False))
+def test_symmetry_rules_under_random_relabelings(case, rng):
+    group, size = case
+    loaded = relabeled(group, rng)
+    out = enumerate_covering_sets(SearchConfig(loaded, size))
+    plain = enumerate_covering_sets(SearchConfig(loaded, size, prune=False))
+    assert [f.elements for f in out.found] == [f.elements for f in plain.found]
+    # The number of canonical covering sets does not depend on the labels.
+    assert len(out.found) == len(enumerate_covering_sets(SearchConfig(group, size)).found)
+    witness = exists_covering_set(SearchConfig(loaded, size))
+    assert [f.elements for f in witness.found] == [f.elements for f in out.found][:1]
+
+
+def test_involution_bound_stops_at_the_root(monkeypatch):
+    # The dihedral group of order 42 has 21 involutions against a slack of 1.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search went past the root")
+
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(search, "automorphisms", refuse)
+    group = parse_group_spec("semidirect:21,2,20")
+    out = exists_covering_set(SearchConfig(group, 7, worker_count=2))
+    assert not out.found and out.exhausted and out.candidates_examined == 0
+
+
+@pytest.mark.parametrize(
+    "spec,size,finds,parent_nodes,bound",
+    [
+        ("cyclic:39", 7, 168, 154_397, 45_000),
+        ("cyclic:56", 8, 0, 378_485, 100_000),
+        ("product:cyclic:2,cyclic:20", 7, 0, 63_343, 10_000),
+    ],
+)
+def test_symmetry_rules_cut_the_node_count(spec, size, finds, parent_nodes, bound):
+    # Node counts are deterministic, unlike time.  With translations and the
+    # excess bound alone the search examined parent_nodes.
+    out = enumerate_covering_sets(SearchConfig(parse_group_spec(spec), size, worker_count=1))
+    assert len(out.found) == finds and out.exhausted
+    assert out.candidates_examined < bound < parent_nodes
+
+
+def test_orbit_pruned_counts_reach_the_outputs(capsys):
+    from bigraphds.cli import main
+
+    out = enumerate_covering_sets(SearchConfig(build_cyclic(39), 7, worker_count=1))
+    orbit = out.orbit_pruned_by_depth
+    assert len(orbit) == 8 and sum(orbit) > 0
+    assert all(o <= p for o, p in zip(orbit, out.pruned_by_depth))
+    argv = ["search", "--group", "cyclic:21", "--size", "5", "--workers", "1"]
+    assert main(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert sum(payload["orbit_pruned_by_depth"]) > 0
+    assert main(argv) == 0
+    assert f"(orbit rule {sum(payload['orbit_pruned_by_depth'])})" in capsys.readouterr().out
+
+
+def test_too_many_automorphisms_leave_the_translations(monkeypatch):
+    # Z2 x Z8 has 16 automorphisms; past the cap the search runs without them.
+    group = build_direct_product(build_cyclic(2), build_cyclic(8))
+    full = enumerate_covering_sets(SearchConfig(group, 5, worker_count=1))
+    monkeypatch.setattr(search, "AUTOMORPHISM_CELLS", 15 * group.order)
+    capped = enumerate_covering_sets(SearchConfig(group, 5, worker_count=1))
+    assert [f.elements for f in capped.found] == [f.elements for f in full.found]
+    assert sum(full.orbit_pruned_by_depth) > 0 and sum(capped.orbit_pruned_by_depth) == 0
