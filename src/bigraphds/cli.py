@@ -175,12 +175,12 @@ def _cmd_graph(args) -> tuple[dict, str, int]:
 
 def _cmd_search(args) -> tuple[dict, str, int]:
     _require(args.size >= 2, f"--size must be >= 2, got {args.size}")
+    _require(args.limit is None or args.limit >= 1, f"--limit must be >= 1, got {args.limit}")
     workers = _workers(args)
     config = search.SearchConfig(
         group=groups.parse_group_spec(args.group),
         size=args.size,
         require_inverse_covering=args.require_inverse_covering,
-        limit=args.limit,
         prune=not args.no_prune,
         worker_count=workers,
         report_interval=args.report_interval,
@@ -188,6 +188,7 @@ def _cmd_search(args) -> tuple[dict, str, int]:
     )
     run = search.exists_covering_set if args.exists_only else search.enumerate_covering_sets
     out = run(config)
+    out = dataclasses.replace(out, found=out.found[: args.limit])
     payload = _jsonable(out)
     lines = [
         f"{out.group_name} size {out.size} (slack {out.slack}): "
@@ -353,37 +354,29 @@ _FAILURE_TYPES = {cls.exit_code: cls.__name__ for cls in BigraphdsError.__subcla
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    wants_json = getattr(args, "json", False)
     t0 = time.monotonic()
     try:
         payload, human, code = _HANDLERS[args.command](args)
     except BigraphdsError as exc:
-        code = exc.exit_code
-        if wants_json:
-            envelope = {
-                "command": args.command,
-                "exit_code": code,
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-                "wall_time_ms": int((time.monotonic() - t0) * 1000),
-            }
-            print(json.dumps(envelope, indent=2, sort_keys=True))
+        code, human = exc.exit_code, ""
+        envelope = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(f"error: {exc}", file=sys.stderr)
-        return code
-    if wants_json:
-        envelope = {
-            "command": args.command,
-            "exit_code": code,
-            "payload": payload,
-            "wall_time_ms": int((time.monotonic() - t0) * 1000),
-        }
+    else:
+        envelope = {"payload": payload}
         if code != 0:
             envelope["error"] = {
                 "type": _FAILURE_TYPES.get(code, "CheckFailure"),
                 "message": "one or more checks or rows failed",
             }
-        print(json.dumps(envelope, indent=2, sort_keys=True))
-    elif human:
-        print(human)
+    envelope.update(command=args.command, exit_code=code,
+                    wall_time_ms=int((time.monotonic() - t0) * 1000))
+    text = json.dumps(envelope, indent=2, sort_keys=True) if getattr(args, "json", False) else human
+    try:
+        if text:
+            print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed the pipe; point stdout at devnull so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -88,11 +88,11 @@ def difference_profile(cand: CandidateSet) -> DifferenceProfile:
     return DifferenceProfile(tuple(counts), cand.size)
 
 
-def classify_profile(profile: DifferenceProfile, identity: int = 0) -> SetClassification:
+def classify_profile(profile: DifferenceProfile) -> SetClassification:
     """Classification is a pure function of the profile."""
     n = len(profile.counts)
     s = profile.s
-    nonid = [(g, c) for g, c in enumerate(profile.counts) if g != identity]
+    nonid = [(g, c) for g, c in enumerate(profile.counts) if g]  # the identity is 0
     missing = tuple(g for g, c in nonid if c == 0)
     repeated = tuple(g for g, c in nonid if c >= 2)
     histogram = dict(sorted(Counter(c for _, c in nonid).items()))
@@ -112,7 +112,7 @@ def classify_profile(profile: DifferenceProfile, identity: int = 0) -> SetClassi
 
 
 def classify_set(cand: CandidateSet) -> SetClassification:
-    return classify_profile(difference_profile(cand), cand.group.identity)
+    return classify_profile(difference_profile(cand))
 
 
 def inverse_set(cand: CandidateSet) -> CandidateSet:
@@ -126,12 +126,12 @@ def parse_word(group: Group, word: str) -> int:
     """Resolve a generator word like ``b*a^-1*b^2`` to an element index."""
     word = word.strip()
     if word == "1":
-        return group.identity
+        return 0
     if group.generators is None:
         raise ValidationError(
             f"group {group.name} has no named generators; word {word!r} cannot be resolved"
         )
-    acc = group.identity
+    acc = 0
     for factor in word.split("*"):
         factor = factor.strip()
         if factor == "1":

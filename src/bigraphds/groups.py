@@ -35,7 +35,6 @@ class Group:
     abelian: bool
     element_orders: tuple[int, ...]
     name: str
-    identity: int = 0
     generators: dict[str, int] | None = field(default=None, hash=False)
 
     def involutions(self) -> tuple[int, ...]:
@@ -44,7 +43,7 @@ class Group:
     def power(self, a: int, e: int) -> int:
         if e < 0:
             a, e = self.inv[a], -e
-        acc = self.identity
+        acc = 0
         for _ in range(e % _order_of(self.mul, a)):
             acc = self.mul[acc][a]
         return acc
@@ -81,11 +80,11 @@ def _is_abelian(mul: Sequence[Sequence[int]]) -> bool:
     return all(mul[i][j] == mul[j][i] for i in range(n) for j in range(i + 1, n))
 
 
-def _inverses(mul: Sequence[Sequence[int]], identity: int = 0) -> tuple[int, ...]:
+def _inverses(mul: Sequence[Sequence[int]]) -> tuple[int, ...]:
     inv = [0] * len(mul)
     for g in range(len(mul)):
-        h = mul[g].index(identity)
-        if mul[h][g] != identity:
+        h = mul[g].index(0)
+        if mul[h][g] != 0:
             raise ValidationError(f"element {g} has no two-sided inverse")
         inv[g] = h
     return tuple(inv)
@@ -341,16 +340,11 @@ def validate_group(g: Group) -> GroupReport:
 
     cell = _find_latin_violation(g.mul)
     record("latin_square", cell is None, f"duplicate at cell {cell}" if cell else "")
-    e = g.identity
-    ident_ok = 0 <= e < g.order and all(
-        g.mul[e][x] == x and g.mul[x][e] == x for x in range(g.order)
-    )
-    record("identity", ident_ok, f"index {e} is not a two-sided identity")
+    ident_ok = g.order > 0 and all(g.mul[0][x] == x and g.mul[x][0] == x for x in range(g.order))
+    record("identity", ident_ok, "index 0 is not a two-sided identity")
     triple = _find_associativity_violation(g.mul)
     record("associativity", triple is None, f"violated at triple {triple}" if triple else "")
-    inv_ok = all(
-        g.mul[x][g.inv[x]] == e and g.mul[g.inv[x]][x] == e for x in range(g.order)
-    )
+    inv_ok = all(g.mul[x][g.inv[x]] == 0 and g.mul[g.inv[x]][x] == 0 for x in range(g.order))
     record("inverses", inv_ok, "inv table does not give two-sided inverses")
 
     histogram: dict[int, int] = {}

@@ -26,18 +26,19 @@ goes to a left translate, whose differences are conjugates).  An anchored S
 in partition K survives only if no psi(x) = phi(x a^-1), with a, b in S and
 phi(b a^-1) = 1, sends an element of S into 2..K; triples of S decide it,
 so it prunes partial sets.  The enumeration expands each find S into its
-canonical images phi(S t^-1), t in S, deduplicated and sorted; a limit cuts
-that list, not the search.  The least canonical covering set is least in
-its orbit, so it survives and is the first find, where the existence search
-stops.  Past AUTOMORPHISM_CELLS / n automorphisms, or resumed past partition
-1 (whose output is the translates of its own finds), a search expands by
-translations only.  prune=False runs the plain search with neither rule.
+canonical images phi(S t^-1), t in S, deduplicated and sorted.  The least
+canonical covering set is least in its orbit, so it survives and is the
+first find, where the existence search stops.  Past AUTOMORPHISM_CELLS / n
+automorphisms, or resumed past partition 1 (whose output is the translates
+of its own finds), a search expands by translations only.  prune=False
+runs the plain search with neither rule.
 
 Work is partitioned by the third element: partition K holds the anchored
 sets whose third element is K + 1, for K = 1..n-s+1 (for size 2 the only
-partition is (0, 1)).  Partitions are searched independently (optionally in
-parallel) and merged in partition order, so output is deterministic for any
-worker count.
+partition is (0, 1)).  Partitions are searched in order; with more workers,
+past FAN_OUT_NODES nodes a pool gets every later partition and the rest of
+the current one, split between fourth elements.  Results merge in partition
+order, so output is deterministic for any worker count.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class SearchConfig:
     group: Group
     size: int
     require_inverse_covering: bool = False
-    limit: int | None = None
     prune: bool = True
     worker_count: int = 1
     report_interval: int = 0
@@ -71,8 +71,6 @@ class SearchConfig:
             raise ValidationError(
                 f"set size {self.size} exceeds group order {self.group.order}"
             )
-        if self.limit is not None and self.limit < 1:
-            raise ValidationError(f"limit must be >= 1 when present, got {self.limit}")
         if self.worker_count < 1:
             raise ValidationError(f"worker count must be >= 1, got {self.worker_count}")
         if self.resume_from < 1:
@@ -111,6 +109,8 @@ class SearchOutcome:
     pruned_by_depth: tuple[int, ...] = ()
     # The automorphism rule's share of pruned_by_depth.
     orbit_pruned_by_depth: tuple[int, ...] = ()
+    # The partition and first fourth element handed to the pool; None inline.
+    fan_out: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -124,14 +124,16 @@ class SweepRow:
     wall_time_ms: int
 
 
-# Per-process search state, installed by the pool initializer (or directly for
-# inline runs): (table, inv, n, s, slack, prune, stop_after_first, require_inverse,
+# Per-process search state, installed by the searching process and the pool
+# initializer: (table, inv, n, s, slack, prune, stop_after_first, require_inverse,
 # excess0, orbit table or None), and the pool's shared stop flag (None inline).
 _STATE: tuple | None = None
 _HALT = None
 
 # Past this many image cells (automorphisms times order) keep translations only.
 AUTOMORPHISM_CELLS = 2_000_000
+# With more workers, a search starts its pool past this many nodes (5-10 pool start-ups).
+FAN_OUT_NODES = 100_000
 
 
 def _set_state(state: tuple, halt=None) -> None:
@@ -145,27 +147,41 @@ def _inverse_is_covering(elems: tuple[int, ...], table, inv, n: int) -> bool:
     return len(covered) == n - 1
 
 
-def _search_partition(k: int) -> tuple[int, list[tuple[int, ...]], list[list[int]]]:
-    """Search the anchored sets (0, 1, k + 1, ...); for size 2, the set (0, 1).
+def _search_partition(unit: tuple[int, int], budget: int | None = None) -> tuple:
+    """Search the anchored sets (0, 1, k + 1, x, ...), x >= first, of the unit
+    (k, first); for size 2, the set (0, 1).  A unit past k + 2 continues a
+    partition, so it leaves out the counts of the forced prefix.
 
-    Returns the finds in lexicographic order and the examined, pruned and
-    orbit-pruned counts indexed by the size of the candidate set.
+    Returns k, the finds in lexicographic order, the examined, pruned and
+    orbit-pruned counts indexed by the size of the candidate set, and None,
+    or the first fourth element left once budget nodes were examined.
     """
+    k, first = unit
     table, inv, n, s, slack, prune, stop_after_first, require_inverse, excess0, orbit = _STATE
     halt = _HALT
     examined, pruned, orbit_pruned = tallies = [[0] * (s + 1) for _ in range(3)]
     finds: list[tuple[int, ...]] = []
-    if halt is not None and halt.value:
-        return k, finds, tallies
+    rest = None
     counts = [0] * (2 * n)
     partial = [0]
-    # The element added at each of these sizes is fixed: the anchor 1, then
-    # this partition's third element.
-    forced = (None, 1, k + 1)[:s]
+    # The elements tried at each of these sizes are fixed: the anchor 1, this
+    # partition's third element, then the fourth elements from first on.
+    fixed = (None, (1,), (k + 1,), range(first, n - s + 4))[:s]
+
+    def pause(x: int) -> bool:
+        """Stop once the pool is halted, or past the budget before fourth element x + 1."""
+        nonlocal rest
+        if halt is not None:
+            return bool(halt.value)
+        rest = x + 1 if budget is not None and sum(examined) >= budget else None
+        return rest is not None
+
+    if pause(first - 1):
+        return k, finds, tallies, rest
 
     def extend(excess: int, start: int) -> bool:
         size = len(partial)
-        xs = (forced[size],) if size < len(forced) else range(start, n - s + size + 1)
+        xs = fixed[size] if size < len(fixed) else range(start, n - s + size + 1)
         ex = pr = op = 0
         stop = False
         for x in xs:
@@ -200,8 +216,7 @@ def _search_partition(k: int) -> tuple[int, list[tuple[int, ...]], list[list[int
                 pr += 1
             elif size + 1 < s:
                 partial.append(x)
-                # Between fourth-level subtrees, give up once the pool is halted.
-                stop = extend(exc, x + 1) or (size == 3 and halt is not None and halt.value)
+                stop = extend(exc, x + 1) or (size == 3 and pause(x))
                 partial.pop()
             elif exc <= slack:
                 elems = (*partial, x)
@@ -219,7 +234,10 @@ def _search_partition(k: int) -> tuple[int, list[tuple[int, ...]], list[list[int
         return stop
 
     extend(excess0, 1)
-    return k, finds, tallies
+    if first > k + 2:
+        for tally in tallies:
+            tally[2] = tally[3] = 0
+    return k, finds, tallies, rest
 
 
 def _orbit_table(dt: list[list[int]], auts: list[tuple[int, ...]]) -> list[list[int]]:
@@ -254,13 +272,16 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
     totals = [[0] * (s + 1) for _ in range(3)]
     maps: list = [range(n)]        # the automorphisms, or the identity alone
     done = 0
+    fan_out = None                 # the first unit handed to the pool
 
-    def consume(result: tuple[int, list[tuple[int, ...]], list[list[int]]]) -> bool:
+    def consume(result: tuple) -> bool:
         nonlocal done
-        k, finds, tallies = result
+        k, finds, tallies, rest = result
         for total, tally in zip(totals, tallies):
             total[:] = map(sum, zip(total, tally))
         raw_finds.extend(finds)
+        if rest is not None:       # a partition split for the pool counts once, at its end
+            return False
         done += 1
         if config.report_interval and (done % config.report_interval == 0 or done == len(todo)):
             print(
@@ -285,17 +306,25 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
                 maps, orbit = auts, _orbit_table(dt, auts)
         state = (table, tuple(group.inv), n, s, slack, config.prune, stop_on_find,
                  config.require_inverse_covering, involutions, orbit)
-        if config.worker_count == 1 or len(todo) == 1:
-            _set_state(state)
-            for k in todo:
-                if consume(_search_partition(k)):
-                    break
-        else:
-            workers = min(config.worker_count, len(todo))
+        # Search inline until FAN_OUT_NODES nodes, then hand the rest of the
+        # current partition and every later one to the pool.
+        _set_state(state)
+        for i, k in enumerate(todo):
+            parallel = config.worker_count > 1 and i + 1 < len(todo)
+            budget = FAN_OUT_NODES - sum(totals[0]) if parallel else None
+            result = _search_partition((k, k + 2), budget)
+            if consume(result):
+                break
+            if result[3] is not None:
+                fan_out = (k, result[3])
+                break
+        if fan_out:
+            units = [fan_out] + [(j, j + 2) for j in todo[i + 1 :]]
+            workers = min(config.worker_count, len(units))
             halt = multiprocessing.RawValue("b", 0)
             pool = multiprocessing.Pool(workers, initializer=_set_state, initargs=(state, halt))
             try:
-                for result in pool.imap(_search_partition, todo, chunksize=1):
+                for result in pool.imap(_search_partition, units, chunksize=1):
                     if consume(result):
                         break
             finally:
@@ -314,7 +343,7 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
         mul, inv = group.mul, group.inv
         images = {tuple(sorted(phi[mul[x][inv[t]]] for x in elems))
                   for elems in raw_finds for t in elems for phi in maps}
-        sets = sorted(images)[: config.limit]
+        sets = sorted(images)
     found = []
     for elems in sets:
         cls = classify_set(CandidateSet(group, elems))
@@ -333,6 +362,7 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
         examined_by_depth=tuple(totals[0]),
         pruned_by_depth=tuple(totals[1]),
         orbit_pruned_by_depth=tuple(totals[2]),
+        fan_out=fan_out,
     )
 
 

@@ -230,3 +230,29 @@ def test_python_dash_m_runs_the_cli():
     out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["payload"]["found"][0]["set"] == [0, 1, 3]
+
+
+def test_search_limit_keeps_the_first_sets_in_order(capsys):
+    argv = ["search", "--group", "cyclic:21", "--size", "5", "--workers", "1"]
+    _, full = run_json(capsys, argv)
+    _, limited = run_json(capsys, argv + ["--limit", "3"])
+    assert limited["payload"]["found"] == full["payload"]["found"][:3]
+    assert main(argv + ["--limit", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "3 covering set(s)" in lines[0] and len(lines) == 4
+    assert main(argv + ["--limit", "0"]) == 2
+    assert "--limit must be >= 1" in capsys.readouterr().err
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    env = {**os.environ, "PYTHONPATH": str(Path(bigraphds.__file__).parents[1])}
+    argv = [sys.executable, "-m", "bigraphds", "search", "--group", "cyclic:39", "--size", "7",
+            "--workers", "1"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        out = subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE,
+                             text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert out.returncode == 0 and out.stderr == ""

@@ -124,12 +124,6 @@ def test_multiworker_determinism():
     assert (0, 1, 4, 14, 16) in [f.elements for f in solo.found]
 
 
-def test_limit_caps_results_in_order():
-    full = enumerate_covering_sets(SearchConfig(build_cyclic(21), 5))
-    limited = enumerate_covering_sets(SearchConfig(build_cyclic(21), 5, limit=3))
-    assert [f.elements for f in limited.found] == [f.elements for f in full.found][:3]
-
-
 def translates(group, elems):
     """The right translates S t^-1, t in S, of a set, as sorted tuples."""
     return {tuple(sorted(group.mul[x][group.inv[t]] for x in elems)) for t in elems}
@@ -172,8 +166,6 @@ def test_invalid_configs():
         SearchConfig(build_cyclic(7), 1)
     with pytest.raises(ValidationError):
         SearchConfig(build_cyclic(7), 8)
-    with pytest.raises(ValidationError):
-        SearchConfig(build_cyclic(7), 3, limit=0)
     with pytest.raises(ValidationError):
         SearchConfig(build_cyclic(7), 3, worker_count=0)
     SearchConfig(build_cyclic(7), 3, resume_from=5)  # the last partition
@@ -479,3 +471,93 @@ def test_too_many_automorphisms_leave_the_translations(monkeypatch):
     capped = enumerate_covering_sets(SearchConfig(group, 5, worker_count=1))
     assert [f.elements for f in capped.found] == [f.elements for f in full.found]
     assert sum(full.orbit_pruned_by_depth) > 0 and sum(capped.orbit_pruned_by_depth) == 0
+
+
+# Budgets for the forced pool: hand off before the first partition, at the
+# first fourth-level boundary, and part-way through a partition.
+POOL_CASES = [
+    (build_cyclic(21), 5),
+    (build_semidirect(7, 3, 2), 6),
+    (build_semidirect(5, 4, 2), 6),
+    (relabeled(build_semidirect(7, 3, 2), random.Random(1)), 6),
+]
+MID_PARTITION_BUDGET = 40
+
+
+def search_key(out):
+    return ([f.elements for f in out.found], out.exhausted, out.examined_by_depth,
+            out.pruned_by_depth, out.orbit_pruned_by_depth)
+
+
+@pytest.mark.parametrize("budget", [0, 1, MID_PARTITION_BUDGET])
+@pytest.mark.parametrize("group,size", POOL_CASES, ids=[f"{g.name}-s{s}" for g, s in POOL_CASES])
+def test_forced_pool_matches_one_worker_and_brute_force(group, size, budget, monkeypatch):
+    covering = canonical_covering_sets(group, size)
+    monkeypatch.setattr(search, "FAN_OUT_NODES", budget)
+    for inverse in (False, True):
+        want = [
+            e for e in covering
+            if not inverse or classify_set(inverse_set(CandidateSet(group, e))).is_covering
+        ]
+        solo = SearchConfig(group, size, require_inverse_covering=inverse, worker_count=1)
+        duo = SearchConfig(group, size, require_inverse_covering=inverse, worker_count=2)
+        out = enumerate_covering_sets(duo)
+        assert search_key(out) == search_key(enumerate_covering_sets(solo))
+        assert [f.elements for f in out.found] == want and out.exhausted
+        if budget == 0:
+            assert out.fan_out == (1, 3)  # the pool gets every partition
+        else:
+            k, first = out.fan_out
+            assert first > k + 2 or budget == 1  # split part-way through partition k
+        witness = exists_covering_set(duo)
+        assert search_key(witness) == search_key(exists_covering_set(solo))
+        assert [f.elements for f in witness.found] == want[:1]
+        assert witness.fan_out is not None or budget
+
+
+def test_early_exit_through_a_forced_pool_stops_without_terminate(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Pool.terminate() was called")
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", refuse)
+    group = build_semidirect(5, 8, 2)
+    for budget in (0, 1, 1000):
+        monkeypatch.setattr(search, "FAN_OUT_NODES", budget)
+        out = exists_covering_set(SearchConfig(group, 7, worker_count=2))
+        assert out.found[0].elements == (0, 1, 4, 9, 11, 21, 27) and not out.exhausted
+        assert out.fan_out is not None
+
+
+def test_split_partition_is_reported_once(monkeypatch, capsys):
+    monkeypatch.setattr(search, "FAN_OUT_NODES", MID_PARTITION_BUDGET)
+    config = SearchConfig(build_cyclic(21), 5, worker_count=2, report_interval=1)
+    out = enumerate_covering_sets(config)
+    k, first = out.fan_out
+    assert first > k + 2 and out.exhausted
+    lines = capsys.readouterr().err.splitlines()
+    assert [int(line.split("partition ")[1].split()[0]) for line in lines] == list(
+        range(1, config.partitions + 1)
+    )
+    assert lines[-1].split("(")[1].startswith(f"{config.partitions}/{config.partitions})")
+
+
+def test_small_search_starts_no_pool(monkeypatch):
+    # One of the costliest s = 7 existence searches at orders 39-42.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    out = exists_covering_set(SearchConfig(parse_group_spec("semidirect:13,3,3"), 7, worker_count=2))
+    assert out.fan_out is None and out.exhausted and not out.found
+    assert out.candidates_examined < search.FAN_OUT_NODES
+
+
+def test_fan_out_reaches_the_json_payload(monkeypatch, capsys):
+    from bigraphds.cli import main
+
+    argv = ["search", "--group", "cyclic:21", "--size", "5", "--json", "--workers"]
+    assert main(argv + ["2"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["fan_out"] is None
+    monkeypatch.setattr(search, "FAN_OUT_NODES", 0)
+    assert main(argv + ["2"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["fan_out"] == [1, 3]
