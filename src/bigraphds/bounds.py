@@ -6,14 +6,22 @@ bound and the sign of the improvement margin must be exact.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import UsageError, ValidationError
+from .errors import CapacityError, UsageError, ValidationError
 
 TABLE_KINDS = ("moore", "improved")
 TABLE_FORMATS = ("md", "csv", "json")
+MAX_DIGITS = 4300  # CPython's default limit on converting an int to decimal
+_DIGIT_LIMIT = 10**MAX_DIGITS
+# per kind: the corner label "row axis\\column axis", the cell value and the blank marker
+_TABLES = {
+    "moore": ("r\\s", lambda report: report.moore, ""),
+    "improved": ("s\\r", lambda report: report.improved and report.improved.value, "-"),
+}
 
 
 @dataclass(frozen=True)
@@ -56,15 +64,18 @@ def tree_counts(r: int, s: int, half_diameter: int = 1) -> tuple[int, int]:
     """Vertex counts of the two distance trees truncated at depth d-1 = 2m.
 
     The first count bounds the part whose vertices have degree r, the second
-    the degree-s part.  Evaluated as an explicit level sum, which stays exact
-    when (r-1)(s-1) = 1.
+    the degree-s part.  With t = (r-1)(s-1), the level sum 1 + t + ... + t^(m-1)
+    is m when t = 1 and (t^m - 1) // (t - 1) otherwise.  CapacityError, before
+    t^m is formed, if m * (t.bit_length() - 1) > 4 * MAX_DIGITS (t^m > 16^MAX_DIGITS).
     """
     if r < 2 or s < 2:
         raise ValidationError(f"degrees must be >= 2, got r={r}, s={s}")
     if half_diameter < 1:
         raise ValidationError(f"half-diameter must be >= 1, got {half_diameter}")
     t = (r - 1) * (s - 1)
-    geo = sum(t**i for i in range(half_diameter))
+    if half_diameter * (t.bit_length() - 1) > 4 * MAX_DIGITS:
+        raise CapacityError(f"tree counts for m={half_diameter} exceed {MAX_DIGITS} digits")
+    geo = half_diameter if t == 1 else (t**half_diameter - 1) // (t - 1)
     return 1 + r * (s - 1) * geo, 1 + s * (r - 1) * geo
 
 
@@ -75,12 +86,10 @@ def moore_bound_odd(r: int, s: int, half_diameter: int = 1) -> BoundReport:
     n1_raw, n2_raw = tree_counts(r, s, half_diameter)
     g = math.gcd(r, s)
     rho, sigma = r // g, s // g
-    if r == s:
-        moore, n1, n2 = n1_raw + n2_raw, n1_raw, n2_raw
-    else:
-        scale = n2_raw // rho
-        moore = scale * (rho + sigma)
-        n1, n2 = scale * sigma, scale * rho
+    scale = n2_raw // rho
+    moore = scale * (rho + sigma)
+    if moore >= _DIGIT_LIMIT:
+        raise CapacityError(f"M({r},{s};{2 * half_diameter + 1}) exceeds {MAX_DIGITS} digits")
     return BoundReport(
         r=r,
         s=s,
@@ -90,8 +99,8 @@ def moore_bound_odd(r: int, s: int, half_diameter: int = 1) -> BoundReport:
         rho=rho,
         sigma=sigma,
         moore=moore,
-        n1=n1,
-        n2=n2,
+        n1=scale * sigma,
+        n2=scale * rho,
         improved=None,
         best=moore,
     )
@@ -127,71 +136,30 @@ def bound_report(r: int, s: int) -> BoundReport:
     return replace(base, improved=improved, best=best)
 
 
-def _table_cells(kind: str, r_max: int, s_max: int) -> list[tuple[int, int, int | None]]:
-    cells = []
-    if kind == "moore":
-        for r in range(2, r_max + 1):
-            for s in range(2, s_max + 1):
-                cells.append((r, s, bound_report(r, s).moore if s <= r else None))
-    else:
-        for s in range(2, s_max + 1):
-            for r in range(2, r_max + 1):
-                improved = improved_moore_bound(r // s, s) if r % s == 0 else None
-                cells.append((r, s, improved.value if improved else None))
-    return cells
-
-
 def render_table(kind: str, r_max: int, s_max: int, fmt: str = "md") -> str:
-    """Grid of diameter-3 bounds; inapplicable cells render as '-'."""
+    """Table 1 (kind "moore") or Table 2 (kind "improved"), every format from one grid."""
     if kind not in TABLE_KINDS:
         raise UsageError(f"unknown table kind {kind!r}; expected one of {TABLE_KINDS}")
     if fmt not in TABLE_FORMATS:
         raise UsageError(f"unknown table format {fmt!r}; expected one of {TABLE_FORMATS}")
     if r_max < 2 or s_max < 2:
         raise ValidationError("table bounds must be >= 2")
-    cells = _table_cells(kind, r_max, s_max)
+    corner, value, blank = _TABLES[kind]
+    row_axis, col_axis = corner.split("\\")
+    span = {"r": range(2, r_max + 1), "s": range(2, s_max + 1)}
+    grid = [[{row_axis: a, col_axis: b} for b in span[col_axis]] for a in span[row_axis]]
+    for c in (c for row in grid for c in row):
+        c["value"] = value(bound_report(c["r"], c["s"])) if c["s"] <= c["r"] else None
     if fmt == "json":
-        import json
-
-        payload = {
-            "kind": kind,
-            "d": 3,
-            "cells": [
-                {"r": r, "s": s, "value": v} for r, s, v in cells if v is not None
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    lookup = {(r, s): v for r, s, v in cells}
-    if kind == "moore":
-        header = ["r\\s"] + [str(s) for s in range(2, s_max + 1)]
-        rows = [
-            [str(r)]
-            + [
-                "" if s > r else str(lookup[(r, s)])
-                for s in range(2, s_max + 1)
-            ]
-            for r in range(2, r_max + 1)
-        ]
-    else:
-        header = ["s\\r"] + [str(r) for r in range(2, r_max + 1)]
-        rows = [
-            [str(s)]
-            + [
-                str(lookup[(r, s)]) if lookup[(r, s)] is not None else "-"
-                for r in range(2, r_max + 1)
-            ]
-            for s in range(2, s_max + 1)
-        ]
-    if fmt == "csv":
-        return "\n".join(",".join(row) for row in [header, *rows]) + "\n"
-    widths = [max(len(row[i]) for row in [header, *rows]) for i in range(len(header))]
-    lines = [
-        "| " + " | ".join(cell.ljust(w) for cell, w in zip(header, widths)) + " |",
-        "|" + "|".join("-" * (w + 2) for w in widths) + "|",
+        cells = [c for row in grid for c in row if c["value"] is not None]
+        return json.dumps({"kind": kind, "d": 3, "cells": cells}, indent=2, sort_keys=True) + "\n"
+    table = [[corner, *map(str, span[col_axis])]] + [
+        [str(row[0][row_axis]), *(blank if c["value"] is None else str(c["value"]) for c in row)]
+        for row in grid
     ]
-    lines.extend(
-        "| " + " | ".join(cell.ljust(w) for cell, w in zip(row, widths)) + " |"
-        for row in rows
-    )
+    if fmt == "csv":
+        return "".join(",".join(line) + "\n" for line in table)
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines = ["| " + " | ".join(c.ljust(w) for c, w in zip(line, widths)) + " |" for line in table]
+    lines.insert(1, "|" + "|".join("-" * (w + 2) for w in widths) + "|")
     return "\n".join(lines) + "\n"

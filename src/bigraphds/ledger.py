@@ -62,13 +62,15 @@ def _table2() -> tuple[bool, str]:
         (5, 30): 161,
         (5, 35): 184,
     }
-    for s in range(2, 6):
-        for r in range(2, 37):
-            improved = bounds.improved_moore_bound(r // s, s) if r % s == 0 else None
-            want = expected.get((s, r))
-            got = improved.value if improved else None
+    csv = [line.split(",") for line in bounds.render_table("improved", 36, 5, "csv").splitlines()]
+    axes = csv[0] == ["s\\r", *map(str, range(2, 37))] and [row[0] for row in csv[1:]] == list("2345")
+    if not axes or {len(row) for row in csv} != {36}:
+        return False, "table 2 is not laid out as s = 2..5 by r = 2..36"
+    for row in csv[1:]:
+        for r, got in enumerate(row[1:], start=2):
+            want = str(expected.get((int(row[0]), r), "-"))
             if got != want:
-                return False, f"cell (s={s},r={r}): got {got}, want {want}"
+                return False, f"cell (s={row[0]},r={r}): got {got!r}, want {want!r}"
     return True, "13 improved cells match, all other cells dash"
 
 

@@ -409,3 +409,14 @@ def test_large_singer_graph_is_certified_quickly():
     rep = diameter(graph)
     assert time.perf_counter() - start < 1.0
     assert rep.diameter == 3 and set(rep.eccentricities) == {3}
+
+
+def test_adjacency_of_the_wrong_length_is_rejected():
+    with pytest.raises(ValidationError, match="adjacency has 3 vertices, expected 4"):
+        BiGraph(n=2, m=1, s=1, group_name="Z2", adjacency=[[2], [3], [0]])
+
+
+def test_find_repeats_rejects_a_third_part():
+    graph = build_difference_graph(CandidateSet(build_cyclic(7), (0, 1, 3)), 1)
+    with pytest.raises(UsageError, match="part must be 0 or 1, got 2"):
+        find_repeats(graph, 2)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from bigraphds.bounds import (
     render_table,
     tree_counts,
 )
-from bigraphds.errors import UsageError, ValidationError
+from bigraphds.errors import CapacityError, UsageError, ValidationError
 
 
 def oracle_tree_counts(r: int, s: int, m: int) -> tuple[int, int]:
@@ -199,3 +200,33 @@ def test_closed_form_matches_sum(r, s, m):
         assert rep.moore == (rep.n2_raw // (big // g)) * ((big + small) // g)
     else:
         assert rep.moore == rep.n1_raw + rep.n2_raw
+
+
+def test_tree_counts_refuse_a_huge_m_before_forming_the_power():
+    start = time.perf_counter()
+    for r, s, m in ((3, 3, 200000), (12, 12, 3000), (30, 2, 10**12)):
+        with pytest.raises(CapacityError):
+            tree_counts(r, s, m)
+    assert time.perf_counter() - start < 1.0
+    # (r-1)(s-1) = 1: the closed form is m itself, so any m is cheap
+    assert tree_counts(2, 2, 10**12) == (2 * 10**12 + 1, 2 * 10**12 + 1)
+
+
+@pytest.mark.parametrize("r, s", [(12, 12), (12, 5), (7, 3), (9, 6), (2, 3)])
+def test_moore_bound_stops_exactly_at_the_digit_limit(r, s):
+    r, s = max(r, s), min(r, s)
+    g = math.gcd(r, s)
+    rho, sigma = r // g, s // g
+
+    def oracle_moore(m: int) -> int:
+        return oracle_tree_counts(r, s, m)[1] // rho * (rho + sigma)
+
+    # bisect on the level-sum oracle for the first m whose bound passes 4300 digits
+    lo, hi = 1, 20000
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if oracle_moore(mid) < 10**4300 else (lo, mid)
+    rep = moore_bound_odd(r, s, lo - 1)
+    assert rep.moore == oracle_moore(lo - 1) and len(str(rep.moore)) <= 4300
+    with pytest.raises(CapacityError):
+        moore_bound_odd(r, s, lo)

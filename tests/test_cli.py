@@ -256,3 +256,16 @@ def test_closed_stdout_pipe_exits_quietly():
     finally:
         os.close(write_end)
     assert out.returncode == 0 and out.stderr == ""
+
+
+def test_classify_lists_missing_differences(capsys):
+    assert main(["classify", "--group", "cyclic:7", "--set", "0,1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["[0, 1] in Z7: non-covering(7,2)", "missing: [2, 3, 4, 5]"]
+
+
+def test_search_human_output_counts_the_sets_past_twenty(capsys):
+    assert main(["search", "--group", "cyclic:11", "--size", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "40 covering set(s)" in lines[0]
+    assert len(lines) == 22 and lines[-1] == "  ... 20 more"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import time
 
@@ -119,3 +120,60 @@ def test_singer_poly_takes_only_decimal_coefficients(poly, capsys):
     assert main(["singer", "--q", "3", "--poly", poly]) == 2
     assert "--poly must be comma-separated integers" in capsys.readouterr().err
     assert main(["singer", "--q", "3", "--poly", "1,1,2,1"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--r", "12", "--s", "12", "--m", "3000"], ["--r", "3", "--s", "3", "--m", "200000"]],
+    ids=["m3000", "m200000"],
+)
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+def test_bound_past_the_digit_limit_exits_4_at_once(argv, json_flag, capsys):
+    start = time.perf_counter()
+    assert main(["bound", *argv, *json_flag]) == 4
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    if json_flag:
+        assert json.loads(captured.out)["exit_code"] == 4
+    else:
+        assert "exceed 4300 digits" in captured.err
+
+
+def test_bound_with_unit_tree_ratio_prints_a_huge_m(capsys):
+    # (r-1)(s-1) = 1 grows linearly in m, so no digit limit is near
+    assert main(["bound", "--r", "2", "--s", "2", "--m", "200000"]) == 0
+    assert capsys.readouterr().out.startswith("M(2,2;400001) = 800002  [")
+
+
+def test_largest_printable_m_prints(capsys):
+    # the largest m whose Moore bound M(12,12;2m+1) = N1' + N2' has at most 4300 digits
+    moore = (2 * (1 + 12 * 11 * (121**m - 1) // 120) for m in itertools.count(1))
+    last = next(m for m, value in enumerate(moore, start=1) if value >= 10**4300) - 1
+    argv = ["bound", "--r", "12", "--s", "12", "--m", str(last)]
+    assert main(argv) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert len(line.split(" = ")[1].split()[0]) == 4300
+    assert main([*argv, "--json"]) == 0
+    assert len(str(json.loads(capsys.readouterr().out)["payload"]["moore"])) == 4300
+    assert main(["bound", "--r", "12", "--s", "12", "--m", str(last + 1)]) == 4
+    assert "M(12,12;" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, code, message",
+    [
+        ("semidirect:40,40,1", 4, "order 1600 exceeds"),
+        ("semidirect:5,8", 2, "three comma-separated integers"),
+        ("file:", 2, "file spec needs a path"),
+    ],
+)
+def test_group_spec_errors_reach_the_exit_code(spec, code, message, capsys):
+    assert main(["validate-group", "--group", spec]) == code
+    assert message in capsys.readouterr().err
+
+
+def test_cayley_row_of_the_wrong_length_exits_3(tmp_path, capsys):
+    path = tmp_path / "short.tbl"
+    path.write_text("2\n0 1\n1\n", encoding="utf-8")
+    assert main(["validate-group", "--group", f"file:{path}"]) == 3
+    assert "row 1 has 1 entries, expected 2" in capsys.readouterr().err

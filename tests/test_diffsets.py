@@ -222,3 +222,16 @@ def test_random_sets_covering_bound_and_translation(data):
     g = data.draw(st.integers(min_value=0, max_value=n - 1))
     shifted = CandidateSet(group, tuple(group.mul[t][g] for t in elems))
     assert difference_profile(shifted).counts == difference_profile(cand).counts
+
+
+def test_params_of_covering_and_non_covering_verdicts():
+    covering = classify_set(CandidateSet(build_cyclic(6), (0, 1, 3, 4)))
+    assert (covering.verdict, covering.params()) == (COVERING, "(6,4)")
+    short = classify_set(CandidateSet(build_cyclic(7), (0, 1)))
+    assert (short.verdict, short.params(), short.missing) == (NON_COVERING, "(7,2)", (2, 3, 4, 5))
+
+
+def test_inner_identity_factor_is_skipped():
+    g = build_semidirect(5, 8, 2)
+    assert parse_word(g, "b*1*a") == parse_word(g, "b*a")
+    assert parse_word(g, "1*b") == parse_word(g, "b") != 0
