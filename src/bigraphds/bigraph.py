@@ -58,19 +58,17 @@ class BiGraph:
     def part_vertices(self, part: int) -> range:
         return range(self.n) if part == 0 else range(self.n, self.vertex_count)
 
-    def vertex_name(self, v: int) -> str:
-        if v < self.n:
-            return f"P0_{v}"
-        l, u = divmod(v - self.n, self.n)
-        return f"P1_{l + 1}_{u}"
+    def vertex_names(self) -> list[str]:
+        """The name of each vertex: P0_v for part-0 vertex v, P1_l_u for copy l's u."""
+        n, copies = self.n, range(1, self.m + 1)
+        return [f"P0_{u}" for u in range(n)] + [f"P1_{l}_{u}" for l in copies for u in range(n)]
 
     def named_edges(self) -> list[tuple[str, str]]:
-        out = []
+        """Each edge as its two vertex names in order, sorted."""
+        names, out = self.vertex_names(), []
         for v, neigh in enumerate(self.adjacency):
-            for w in neigh:
-                if v < w:
-                    pair = (self.vertex_name(v), self.vertex_name(w))
-                    out.append(pair if pair[0] < pair[1] else (pair[1], pair[0]))
+            a = names[v]
+            out += [(a, b) if a < b else (b, a) for b in [names[w] for w in neigh if w > v]]
         return sorted(out)
 
 
@@ -175,15 +173,11 @@ def diameter(graph: BiGraph) -> DiameterReport:
 
 def verify_biregular(graph: BiGraph) -> BiregularCheck:
     """Check degree uniformity per part; report the first offending vertex."""
-    degrees = [None, None]
-    for part in (0, 1):
-        for v in graph.part_vertices(part):
-            d = len(graph.adjacency[v])
-            if degrees[part] is None:
-                degrees[part] = d
-            elif degrees[part] != d:
-                return BiregularCheck(False, None, None, v)
-    return BiregularCheck(True, degrees[0], degrees[1], None)
+    degrees = [len(graph.adjacency[v]) for v in (0, graph.n)]  # of each part's first vertex
+    for v, neigh in enumerate(graph.adjacency):
+        if len(neigh) != degrees[graph.part_of(v)]:
+            return BiregularCheck(False, None, None, v)
+    return BiregularCheck(True, *degrees, None)
 
 
 def _shared_neighbours(adjacency: list[list[int]], u: int) -> tuple[tuple[int, int], ...]:
@@ -236,16 +230,24 @@ def export_graph(graph: BiGraph, fmt: str) -> str:
         lines.extend(f'  "{a}" -- "{b}";' for a, b in edges)
         lines.append("}")
         return "\n".join(lines) + "\n"
-    payload = {
-        "n": graph.n,
-        "m": graph.m,
-        "s": graph.s,
-        "group_name": graph.group_name,
-        "part0": [graph.vertex_name(v) for v in graph.part_vertices(0)],
-        "part1": [graph.vertex_name(v) for v in graph.part_vertices(1)],
-        "edges": [list(e) for e in edges],
+    # json.dumps(payload, indent=2, sort_keys=True) written out, as with an indent
+    # json runs its pure-Python encoder.  Vertex names need no escaping.
+    def array(items: list[str], depth: int, brackets: str = "[]") -> str:
+        pad = "\n" + "  " * depth
+        inner = f",{pad}".join(items)
+        return f"{brackets[0]}{pad}{inner}{pad[:-2]}{brackets[1]}" if items else brackets
+
+    names = graph.vertex_names()
+    fields = {
+        "edges": array([f'[\n      "{a}",\n      "{b}"\n    ]' for a, b in edges], 2),
+        "group_name": json.dumps(graph.group_name),
+        "m": json.dumps(graph.m),
+        "n": json.dumps(graph.n),
+        "part0": array([f'"{x}"' for x in names[: graph.n]], 2),
+        "part1": array([f'"{x}"' for x in names[graph.n :]], 2),
+        "s": json.dumps(graph.s),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return array([f'"{key}": {value}' for key, value in fields.items()], 1, "{}") + "\n"
 
 
 def load_graph_json(text: str) -> BiGraph:
@@ -265,21 +267,20 @@ def load_graph_json(text: str) -> BiGraph:
     if len(names) != (m + 1) * n:
         raise ValidationError(f"part lists hold {len(names)} names, expected (m+1)*n for n={n}, m={m}")
     graph = BiGraph(n=n, m=m, s=s, group_name=group_name, adjacency=[[] for _ in names])
-    ids = {graph.vertex_name(v): v for v in range(graph.vertex_count)}
-    if names != list(ids):
+    if names != graph.vertex_names():
         raise ValidationError("part names do not match the declared n and m")
-    seen = set()
+    name_id, adjacency, seen = dict(zip(names, range(len(names)))).get, graph.adjacency, set()
     for edge in edges:
-        pair = [ids.get(x) if isinstance(x, str) else None for x in edge] if isinstance(edge, list) else []
-        if len(pair) != 2 or None in pair:
-            raise ValidationError(f"edge {edge!r} is not a pair of vertex names")
-        va, vb = sorted(pair)
-        if graph.part_of(va) == graph.part_of(vb):
+        try:  # a non-list, a length other than 2, an unknown or unhashable name all raise
+            va, vb = sorted(map(name_id, edge)) if isinstance(edge, list) else ()
+        except (TypeError, ValueError):
+            raise ValidationError(f"edge {edge!r} is not a pair of vertex names") from None
+        if va >= n or vb < n:
             raise ValidationError(f"edge {edge[0]} -- {edge[1]} is not cross-part")
         if (va, vb) in seen:
             raise ValidationError(f"duplicate edge {edge[0]} -- {edge[1]}")
         seen.add((va, vb))
-        graph.adjacency[va].append(vb)
-        graph.adjacency[vb].append(va)
+        adjacency[va].append(vb)
+        adjacency[vb].append(va)
     graph.adjacency = [sorted(x) for x in graph.adjacency]
     return graph

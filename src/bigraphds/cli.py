@@ -153,18 +153,18 @@ def _cmd_graph(args) -> tuple[dict, str, int]:
     if args.check_diameter:
         rep = bigraph.diameter(graph)
         payload["diameter"] = rep.diameter
-        payload["diameter_witness"] = [
-            graph.vertex_name(rep.witness[0]),
-            graph.vertex_name(rep.witness[1]),
-        ]
+        payload["diameter_witness"] = [graph.vertex_names()[v] for v in rep.witness]
         lines.append(
             f"diameter: {'infinite (disconnected)' if rep.diameter is None else rep.diameter}"
         )
     if args.format:
         text = bigraph.export_graph(graph, args.format)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:  # a missing directory, a directory, no permission
+                raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
             payload["out"] = args.out
             lines.append(f"wrote {args.format} export to {args.out}")
         else:

@@ -7,9 +7,11 @@ for Abelian and non-Abelian groups.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -76,8 +78,7 @@ def _element_orders(mul: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 
 def _is_abelian(mul: Sequence[Sequence[int]]) -> bool:
-    n = len(mul)
-    return all(mul[i][j] == mul[j][i] for i in range(n) for j in range(i + 1, n))
+    return all(map(operator.eq, map(tuple, mul), zip(*mul)))  # each row equals its column
 
 
 def _inverses(mul: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -100,7 +101,8 @@ def _check_order(n: int) -> None:
 def build_cyclic(n: int) -> Group:
     """Additive cyclic group Z_n."""
     _check_order(n)
-    mul = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    twice = tuple(range(n)) * 2
+    mul = tuple(twice[i : i + n] for i in range(n))
     inv = tuple((-i) % n for i in range(n))
     orders = tuple(n // math.gcd(n, i) if i else 1 for i in range(n))
     return Group(n, mul, inv, True, orders, f"Z{n}")
@@ -111,15 +113,12 @@ def build_direct_product(g: Group, h: Group) -> Group:
     n = g.order * h.order
     _check_order(n)
     hn = h.order
-    gmul, hmul = g.mul, h.mul
-    mul = []
-    for x1 in range(g.order):
-        for y1 in range(hn):
-            grow, hrow = gmul[x1], hmul[y1]
-            mul.append(
-                tuple(grow[x2] * hn + hrow[y2] for x2 in range(g.order) for y2 in range(hn))
-            )
-    mul_t = tuple(mul)
+    # row (x1, y1) joins, for each x2, the row of y1 in h shifted into block x1*x2
+    blocks = [[tuple(x * hn + y for y in hrow) for x in range(g.order)] for hrow in h.mul]
+    mul_t = tuple(
+        tuple(chain.from_iterable(map(blocks[y1].__getitem__, grow)))
+        for grow in g.mul for y1 in range(hn)
+    )
     inv = tuple(g.inv[x] * hn + h.inv[y] for x in range(g.order) for y in range(hn))
     orders = tuple(
         (g.element_orders[x] * h.element_orders[y])
@@ -148,14 +147,12 @@ def build_semidirect(m: int, n: int, k: int) -> Group:
     for _ in range(n - 1):
         kpow.append(kpow[-1] * k % m)
     order = m * n
-    mul = []
-    for i1 in range(m):
-        for j1 in range(n):
-            kj = kpow[j1]
-            mul.append(
-                tuple(((i1 + i2 * kj) % m) * n + (j1 + j2) % n for i2 in range(m) for j2 in range(n))
-            )
-    mul_t = tuple(mul)
+    # row (i1, j1) joins, for each i2, the row of j1 in Z_n shifted into block i1 + i2*k^j1
+    blocks = [[tuple(i * n + (j1 + j2) % n for j2 in range(n)) for i in range(m)] for j1 in range(n)]
+    mul_t = tuple(
+        tuple(chain.from_iterable(blocks[j1][(i1 + i2 * kpow[j1]) % m] for i2 in range(m)))
+        for i1 in range(m) for j1 in range(n)
+    )
     inv = _inverses(mul_t)
     abelian = k % m == 1 % m
     name = f"Z{m}:Z{n}(k={k})"
@@ -208,14 +205,18 @@ def _find_associativity_violation(
 
     The elements a with (x*a)*y == x*(a*y) for all x, y are closed under
     products (Clifford & Preston, 1961), so checking the greedy generators
-    suffices: their walk reaches only products of checked elements.
+    suffices: their walk reaches only products of checked elements.  Each
+    (a, x) compares x's row taken at a's row, x*(a*y) for all y, with (x*a)'s.
     """
     n = len(mul)
-    gens = _greedy_generators(mul)
-    for a, x in itertools.product(gens, range(n)):
-        arow, row, xa_row = mul[a], mul[x], mul[mul[x][a]]  # a*y, x*y, (x*a)*y
-        if [row[v] for v in arow] != list(xa_row):
-            return (x, a, next(y for y in range(n) if xa_row[y] != row[arow[y]]))
+    if n == 1:  # [[0]]; itemgetter of one index would return a scalar
+        return None
+    for a in _greedy_generators(mul):
+        arow, x_times_a_row = mul[a], operator.itemgetter(*mul[a])
+        for x, row in enumerate(mul):
+            xa_row = mul[row[a]]
+            if x_times_a_row(row) != tuple(xa_row):
+                return (x, a, next(y for y in range(n) if xa_row[y] != row[arow[y]]))
     return None
 
 
@@ -254,44 +255,43 @@ def automorphisms(group: Group) -> Iterator[tuple[int, ...]]:
     return extend(0, [0] + [-1] * (n - 1))
 
 
-def _find_identity(mul: Sequence[Sequence[int]]) -> int | None:
-    n = len(mul)
-    for e in range(n):
-        if all(mul[e][g] == g and mul[g][e] == g for g in range(n)):
+def _find_identity(mul: Sequence[tuple[int, ...]]) -> int | None:
+    ident = tuple(range(len(mul)))
+    for e, row in enumerate(mul):
+        if row == ident and tuple(r[e] for r in mul) == ident:
             return e
     return None
 
 
 def parse_cayley_table(text: str, name: str = "loaded") -> Group:
     """Parse and fully validate a Cayley table; relabel so the identity is 0."""
-    rows_raw: list[list[str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows_raw.append(stripped.split())
-    if not rows_raw:
+    # Data lines are split one at a time, so only one row of tokens is alive.
+    lines = [s for line in text.splitlines() if (s := line.strip()) and not s.startswith("#")]
+    if not lines:
         raise ValidationError("empty Cayley-table file")
-    head = rows_raw[0]
+    head = lines[0].split()
     if len(head) != 1 or not head[0].isdecimal():
         raise ValidationError(f"first data line must be the order, got {' '.join(head)!r}")
     n = int(head[0])
     _check_order(n)
-    body = rows_raw[1:]
-    if len(body) != n:
-        raise ValidationError(f"expected {n} table rows, found {len(body)}")
+    if len(lines) - 1 != n:
+        raise ValidationError(f"expected {n} table rows, found {len(lines) - 1}")
+    index = {str(v): v for v in range(n)}.__getitem__
     mul: list[tuple[int, ...]] = []
-    for i, row in enumerate(body):
+    for i, row in enumerate(map(str.split, lines[1:])):
         if len(row) != n:
             raise ValidationError(f"row {i} has {len(row)} entries, expected {n}")
-        if all(map(str.isdecimal, row)) and max(vals := tuple(map(int, row))) < n:
-            mul.append(vals)
+        try:
+            mul.append(tuple(map(index, row)))
             continue
-        for j, tok in enumerate(row):  # name the first bad cell
+        except KeyError:  # '01', another script's digits, or a bad cell to name
+            pass
+        for j, tok in enumerate(row):
             if not tok.isdecimal():
                 raise ValidationError(f"row {i}, column {j}: {tok!r} is not an integer")
             if (v := int(tok)) >= n:
                 raise ValidationError(f"row {i}, column {j}: entry {v} out of range 0..{n - 1}")
+        mul.append(tuple(map(int, row)))
 
     cell = _find_latin_violation(mul)
     if cell is not None:
@@ -306,13 +306,14 @@ def parse_cayley_table(text: str, name: str = "loaded") -> Group:
         i, j, k = triple
         raise ValidationError(f"not associative: ({i}*{j})*{k} != {i}*({j}*{k})")
 
-    if e != 0:
-        relabel = list(range(n))
-        relabel[0], relabel[e] = e, 0     # transposition swapping 0 and e
-        mul = [
-            tuple(relabel[mul[relabel[i]][relabel[j]]] for j in range(n))
-            for i in range(n)
-        ]
+    if e != 0:  # conjugate by the transposition of 0 and e: swap rows, columns, values
+        mul[0], mul[e] = mul[e], mul[0]
+        for i, row in enumerate(mul):
+            new = list(row)
+            new[0], new[e] = row[e], row[0]
+            at_0, at_e = new.index(0), new.index(e)
+            new[at_0], new[at_e] = e, 0
+            mul[i] = tuple(new)
     mul_t = tuple(mul)
     inv = _inverses(mul_t)
     return Group(n, mul_t, inv, _is_abelian(mul_t), _element_orders(mul_t), name)
@@ -347,16 +348,13 @@ def validate_group(g: Group) -> GroupReport:
     inv_ok = all(g.mul[x][g.inv[x]] == 0 and g.mul[g.inv[x]][x] == 0 for x in range(g.order))
     record("inverses", inv_ok, "inv table does not give two-sided inverses")
 
-    histogram: dict[int, int] = {}
-    for k in g.element_orders:
-        histogram[k] = histogram.get(k, 0) + 1
     return GroupReport(
         name=g.name,
         order=g.order,
         ok=all(axioms.values()),
         axioms=axioms,
         abelian=_is_abelian(g.mul),
-        order_histogram=dict(sorted(histogram.items())),
+        order_histogram=dict(sorted(Counter(g.element_orders).items())),
         involutions=g.involutions(),
         first_failure=first_failure,
     )

@@ -116,14 +116,17 @@ def is_primitive(field: Field, poly) -> bool:
 
     Checked as: no root in F, x^r = 1 and x^(r/l) != 1 for each prime l | r,
     with r = |F|^deg - 1.  A unit of that order leaves no nonzero non-unit in
-    F[x]/(poly), so the quotient is a field and poly is irreducible.
+    F[x]/(poly), so the quotient is a field and poly is irreducible.  For
+    degree 2 and 3 the x^r = 1 test is skipped: such a poly with no root has
+    no factor of degree 1, hence none at all, so F[x]/(poly) is already a
+    field of r + 1 elements and x^r = 1 holds by Lagrange's theorem.
     """
     deg = len(poly) - 1
     if deg < 2 or has_root(field, poly):
         return False
     r = len(field[0]) ** deg - 1
     x, one = (0, 1) + (0,) * (deg - 2), (1,) + (0,) * (deg - 1)
-    if pow_mod(field, x, r, poly) != one:
+    if deg > 3 and pow_mod(field, x, r, poly) != one:
         return False
     return all(pow_mod(field, x, r // ell, poly) != one for ell in prime_factors(r))
 
@@ -190,6 +193,11 @@ def singer_set(q: int, modulus=None) -> SingerSet:
     tuple, constant term first, monic); by default the lexicographically
     smallest one is used, which makes the output deterministic.  The group
     order q^2+q+1 is checked against the capacity before any field is built.
+
+    The power walk multiplies by x as a shift plus one reduction: x * (a0 +
+    a1 x + a2 x^2) = a2 x^3 + a0 x + a1 x^2, and x^3 = -(f0 + f1 x + f2 x^2)
+    for the monic cubic f, so each step costs at most two table lookups per
+    coefficient in place of a general product modulo f.
     """
     n = q * q + q + 1
     if q >= 2 and n > MAX_ORDER:
@@ -206,14 +214,16 @@ def singer_set(q: int, modulus=None) -> SingerSet:
         if not is_primitive(field, modulus):
             raise ValidationError(f"modulus {modulus} is not primitive over GF({q})")
 
-    targets = {(1, alpha, 0): alpha for alpha in range(1, q)}
-    logs: dict[int, int] = {}
-    x, elem = (0, 1, 0), (1, 0, 0)
+    add, mul, sub = field
+    # reduce[k][c] = -c * f_k: what a top coefficient c adds to x^k
+    reduce = [tuple(sub[0][mul[c][f]] for c in range(q)) for f in modulus[:3]]
+    logs: dict[int, int] = {}   # alpha -> log of 1 + alpha*x, alpha != 0
+    a0, a1, a2 = 1, 0, 0
     for i in range(q**3 - 1):
-        if elem in targets:
-            logs[targets[elem]] = i
-        elem = mul_mod(field, elem, x, modulus)
-    if elem != (1, 0, 0) or len(logs) != q - 1:
+        if a0 == 1 and a2 == 0 and a1:
+            logs[a1] = i
+        a0, a1, a2 = reduce[0][a2], add[a0][reduce[1][a2]], add[a1][reduce[2][a2]]
+    if (a0, a1, a2) != (1, 0, 0) or len(logs) != q - 1:
         raise InternalError(f"power walk over GF({q}^3) did not close as expected")
 
     raw = tuple(sorted([0, 1, *logs.values()]))

@@ -420,3 +420,151 @@ def test_find_repeats_rejects_a_third_part():
     graph = build_difference_graph(CandidateSet(build_cyclic(7), (0, 1, 3)), 1)
     with pytest.raises(UsageError, match="part must be 0 or 1, got 2"):
         find_repeats(graph, 2)
+
+
+# --- the export and the loader against their first, per-edge versions --------
+
+
+def oracle_vertex_name(graph, v):
+    if v < graph.n:
+        return f"P0_{v}"
+    l, u = divmod(v - graph.n, graph.n)
+    return f"P1_{l + 1}_{u}"
+
+
+def oracle_export(graph, fmt):
+    """export_graph as first written: two names formatted per edge, json.dumps with an indent."""
+    out = []
+    for v, neigh in enumerate(graph.adjacency):
+        for w in neigh:
+            if v < w:
+                pair = (oracle_vertex_name(graph, v), oracle_vertex_name(graph, w))
+                out.append(pair if pair[0] < pair[1] else (pair[1], pair[0]))
+    edges = sorted(out)
+    if fmt == "edge-list":
+        return "\n".join(f"{a} {b}" for a, b in edges) + "\n"
+    if fmt == "dot":
+        return "\n".join(["graph G {", *(f'  "{a}" -- "{b}";' for a, b in edges), "}"]) + "\n"
+    payload = {
+        "n": graph.n,
+        "m": graph.m,
+        "s": graph.s,
+        "group_name": graph.group_name,
+        "part0": [oracle_vertex_name(graph, v) for v in graph.part_vertices(0)],
+        "part1": [oracle_vertex_name(graph, v) for v in graph.part_vertices(1)],
+        "edges": [list(e) for e in edges],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def oracle_load_graph_json(text):
+    """load_graph_json as first written, with a name-to-id dict and a check per name."""
+    try:
+        payload = json.loads(text)
+        n, m, s, group_name = (payload[k] for k in ("n", "m", "s", "group_name"))
+        names, edges = [*payload["part0"], *payload["part1"]], list(payload["edges"])
+    except (KeyError, RecursionError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed graph json: {exc}") from exc
+    if any(type(v) is not int or v < 1 for v in (n, m, s)) or not isinstance(group_name, str):
+        raise ValidationError("n, m and s must be positive integers and group_name a string")
+    if len(names) != (m + 1) * n:
+        raise ValidationError(f"part lists hold {len(names)} names, expected (m+1)*n for n={n}, m={m}")
+    graph = BiGraph(n=n, m=m, s=s, group_name=group_name, adjacency=[[] for _ in names])
+    ids = {oracle_vertex_name(graph, v): v for v in range(graph.vertex_count)}
+    if names != list(ids):
+        raise ValidationError("part names do not match the declared n and m")
+    seen = set()
+    for edge in edges:
+        pair = [ids.get(x) if isinstance(x, str) else None for x in edge] if isinstance(edge, list) else []
+        if len(pair) != 2 or None in pair:
+            raise ValidationError(f"edge {edge!r} is not a pair of vertex names")
+        va, vb = sorted(pair)
+        if graph.part_of(va) == graph.part_of(vb):
+            raise ValidationError(f"edge {edge[0]} -- {edge[1]} is not cross-part")
+        if (va, vb) in seen:
+            raise ValidationError(f"duplicate edge {edge[0]} -- {edge[1]}")
+        seen.add((va, vb))
+        graph.adjacency[va].append(vb)
+        graph.adjacency[vb].append(va)
+    graph.adjacency = [sorted(x) for x in graph.adjacency]
+    return graph
+
+
+QUOTED_NAME = 'Z7:Z3 "relabeled" \\ ñ'
+
+
+def export_grid():
+    """Singer sets for q in {2, 3, 11}, a set in Z7 x| Z3, and the same set in a relabeled
+    copy read back by parse_cayley_table under a name holding a quote, a backslash and ñ."""
+    z7_z3 = build_semidirect(7, 3, 2)
+    loaded = dataclasses.replace(relabeled(z7_z3, 5), name=QUOTED_NAME)
+    cands = {f"singer-q{q}": singer_set(q).set for q in (2, 3, 11)}
+    cands["Z7:Z3"] = CandidateSet(z7_z3, (0, 1, 4, 9, 13))
+    cands["relabeled-Z7:Z3"] = CandidateSet(loaded, (0, 1, 4, 9, 13))
+    return [pytest.param(cand, m, id=f"{label}-m{m}") for label, cand in cands.items() for m in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("cand,m", export_grid())
+def test_export_is_byte_identical_to_the_json_dumps_oracle(cand, m):
+    graph = build_difference_graph(cand, m)
+    assert graph.vertex_names() == [oracle_vertex_name(graph, v) for v in range(graph.vertex_count)]
+    for fmt in ("json", "edge-list", "dot"):
+        assert export_graph(graph, fmt) == oracle_export(graph, fmt), fmt
+    text = export_graph(graph, "json")
+    loaded = load_graph_json(text)
+    assert loaded == graph == oracle_load_graph_json(text)
+    assert loaded.group_name == cand.group.name
+    assert export_graph(loaded, "json") == text
+
+
+def test_export_of_unusual_graphs_matches_the_oracle():
+    # no edges (json writes []), a group name needing escapes, and an edited
+    # adjacency with a one-sided entry and a self loop, which the export does not check
+    bare = BiGraph(n=2, m=1, s=1, group_name=QUOTED_NAME, adjacency=[[], [], [], []])
+    lopsided = BiGraph(n=2, m=2, s=1, group_name='"', adjacency=[[2, 0], [3, 5], [0], [1], [], []])
+    for graph in (bare, lopsided):
+        for fmt in ("json", "edge-list", "dot"):
+            assert export_graph(graph, fmt) == oracle_export(graph, fmt), (graph, fmt)
+    assert '"edges": []' in export_graph(bare, "json")
+    assert load_graph_json(export_graph(bare, "json")) == bare
+
+
+def test_loader_errors_match_the_oracle():
+    graph = build_difference_graph(singer_set(3).set, 2)
+    payload = json.loads(export_graph(graph, "json"))
+    edge = payload["edges"][0]
+
+    def corrupt(**changes):
+        return json.dumps({**payload, **changes})
+
+    cases = [
+        corrupt(edges=[["P0_x", edge[1]]]),
+        corrupt(edges=[edge[::-1], [*edge, edge[0]]]),
+        corrupt(edges=[[edge[0]]]),
+        corrupt(edges=[[]]),
+        corrupt(edges=[[0, 7]]),
+        corrupt(edges=[[None, None]]),
+        corrupt(edges=[[None, edge[1]]]),
+        corrupt(edges=[[["P0_0"], edge[1]]]),
+        corrupt(edges=[[{"P0_0": 1}, edge[1]]]),
+        corrupt(edges=[{edge[0]: 1, edge[1]: 2}]),
+        corrupt(edges=[edge[0] + edge[1]]),
+        corrupt(edges=[edge, "P0_1"]),
+        corrupt(edges=7),
+        corrupt(edges=[[edge[0], edge[0]]]),
+        corrupt(edges=[["P1_1_0", "P1_2_0"]]),
+        corrupt(edges=[["P0_0", "P0_1"]]),
+        corrupt(edges=[edge, edge[::-1]]),
+        corrupt(edges=[*payload["edges"][:5], payload["edges"][3]]),
+        corrupt(part1=payload["part1"][:-1] + ["P1_9_0"]),
+        corrupt(part0=payload["part0"][::-1]),
+        corrupt(n=1e999),
+        corrupt(m=True),
+        json.dumps({k: v for k, v in payload.items() if k != "edges"}),
+    ]
+    for text in cases:
+        with pytest.raises(ValidationError) as want:
+            oracle_load_graph_json(text)
+        with pytest.raises(ValidationError) as got:
+            load_graph_json(text)
+        assert str(got.value) == str(want.value), text

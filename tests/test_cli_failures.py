@@ -177,3 +177,20 @@ def test_cayley_row_of_the_wrong_length_exits_3(tmp_path, capsys):
     path.write_text("2\n0 1\n1\n", encoding="utf-8")
     assert main(["validate-group", "--group", f"file:{path}"]) == 3
     assert "row 1 has 1 entries, expected 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_graph_out_to_an_unwritable_path_is_a_usage_error(where, tmp_path, capsys):
+    out = tmp_path / "missing" / "g.json" if where == "missing-dir" else tmp_path
+    argv = ["graph", "--group", "cyclic:7", "--set", "0,1,3", "--m", "1", "--format", "json",
+            "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: cannot write {out}: ")
+    assert main([*argv, "--json"]) == 2
+    envelope = json.loads(capsys.readouterr().out)
+    assert envelope["error"]["type"] == "UsageError" and envelope["exit_code"] == 2
+    assert envelope["error"]["message"].startswith(f"cannot write {out}: ")
+    assert set(envelope) == {"command", "error", "exit_code", "wall_time_ms"}
+    assert not (tmp_path / "missing").exists()

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bigraphds
+from bigraphds import groups
 from bigraphds.errors import CapacityError, UsageError, ValidationError
 from bigraphds.groups import (
     Group,
@@ -438,3 +439,279 @@ def test_automorphism_counts(group, count):
     assert all(tuple(a[b[x]] for x in range(n)) in closed for a in auts for b in auts)
     loaded = parse_cayley_table(shuffled_table(group, n), name="relabeled")
     assert len(list(automorphisms(loaded))) == count
+
+
+# --- the table reader, Light's test and validate_group against their first,
+# per-cell versions: same Group, same report, same error text ----------------
+
+
+def oracle_light_test(mul):
+    """Light's test as first written: one list comprehension per (generator, x)."""
+    n = len(mul)
+    for a, x in itertools.product(groups._greedy_generators(mul), range(n)):
+        arow, row, xa_row = mul[a], mul[x], mul[mul[x][a]]
+        if [row[v] for v in arow] != list(xa_row):
+            return (x, a, next(y for y in range(n) if xa_row[y] != row[arow[y]]))
+    return None
+
+
+def oracle_is_abelian(mul):
+    n = len(mul)
+    return all(mul[i][j] == mul[j][i] for i in range(n) for j in range(i + 1, n))
+
+
+def oracle_parse_cayley_table(text, name="loaded"):
+    """parse_cayley_table as first written: int() per cell, a relabeling per cell."""
+    rows = [ln.strip().split() for ln in text.splitlines()]
+    rows = [r for r in rows if r and not r[0].startswith("#")]
+    if not rows:
+        raise ValidationError("empty Cayley-table file")
+    if len(rows[0]) != 1 or not rows[0][0].isdecimal():
+        raise ValidationError(f"first data line must be the order, got {' '.join(rows[0])!r}")
+    n = int(rows[0][0])
+    groups._check_order(n)
+    if len(rows) - 1 != n:
+        raise ValidationError(f"expected {n} table rows, found {len(rows) - 1}")
+    mul = []
+    for i, row in enumerate(rows[1:]):
+        if len(row) != n:
+            raise ValidationError(f"row {i} has {len(row)} entries, expected {n}")
+        for j, tok in enumerate(row):
+            if not tok.isdecimal():
+                raise ValidationError(f"row {i}, column {j}: {tok!r} is not an integer")
+            if (v := int(tok)) >= n:
+                raise ValidationError(f"row {i}, column {j}: entry {v} out of range 0..{n - 1}")
+        mul.append(tuple(int(tok) for tok in row))
+    cell = groups._find_latin_violation(mul)
+    if cell is not None:
+        raise ValidationError(
+            f"not a Latin square: duplicate value in row/column at cell ({cell[0]}, {cell[1]})"
+        )
+    ident = (e for e in range(n) if all(mul[e][g] == g and mul[g][e] == g for g in range(n)))
+    e = next(ident, None)
+    if e is None:
+        raise ValidationError("table has no two-sided identity element")
+    triple = oracle_light_test(mul)
+    if triple is not None:
+        i, j, k = triple
+        raise ValidationError(f"not associative: ({i}*{j})*{k} != {i}*({j}*{k})")
+    if e != 0:
+        relabel = list(range(n))
+        relabel[0], relabel[e] = e, 0
+        mul = [tuple(relabel[mul[relabel[i]][relabel[j]]] for j in range(n)) for i in range(n)]
+    mul = tuple(mul)
+    return Group(n, mul, groups._inverses(mul), oracle_is_abelian(mul),
+                 groups._element_orders(mul), name)
+
+
+def oracle_validate_group(g):
+    """validate_group as first written, with the per-cell scans above."""
+    mul, n = g.mul, g.order
+    cell, triple = groups._find_latin_violation(mul), oracle_light_test(mul)
+    checks = [
+        ("latin_square", cell is None, f"duplicate at cell {cell}"),
+        ("identity", n > 0 and all(mul[0][x] == x and mul[x][0] == x for x in range(n)),
+         "index 0 is not a two-sided identity"),
+        ("associativity", triple is None, f"violated at triple {triple}"),
+        ("inverses", all(mul[x][g.inv[x]] == 0 and mul[g.inv[x]][x] == 0 for x in range(n)),
+         "inv table does not give two-sided inverses"),
+    ]
+    histogram = {}
+    for k in g.element_orders:
+        histogram[k] = histogram.get(k, 0) + 1
+    return groups.GroupReport(
+        name=g.name, order=n, ok=all(ok for _, ok, _ in checks),
+        axioms={axiom: ok for axiom, ok, _ in checks}, abelian=oracle_is_abelian(mul),
+        order_histogram=dict(sorted(histogram.items())), involutions=g.involutions(),
+        first_failure=next((detail for _, ok, detail in checks if not ok), None),
+    )
+
+
+def parse_outcome(parse, text):
+    """(Group, None) or (None, error text), for comparing two readers."""
+    try:
+        return parse(text, name="t"), None
+    except (ValidationError, CapacityError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def assert_readers_agree(text):
+    got, want = parse_outcome(parse_cayley_table, text), parse_outcome(oracle_parse_cayley_table, text)
+    assert got == want
+    if got[0] is not None:
+        assert all(type(row) is tuple for row in got[0].mul)
+        assert repr(validate_group(got[0])) == repr(oracle_validate_group(got[0]))
+    return got
+
+
+def relabeled_rows(g, rng, keep_identity=False):
+    """Rows of g's table under a random relabeling, as lists of ints."""
+    perm = list(range(g.order))
+    rng.shuffle(perm)
+    if keep_identity:
+        perm[perm.index(0)], perm[0] = perm[0], 0
+    old = [0] * g.order
+    for x, y in enumerate(perm):
+        old[y] = x
+    return [[perm[g.mul[a][b]] for b in old] for a in old]
+
+
+def table_text(rows, cell=str):
+    return f"# a comment\n{len(rows)}\n\n" + "\n".join(" ".join(map(cell, r)) for r in rows) + "\n"
+
+
+READER_GROUPS = [
+    build_cyclic(1), build_cyclic(2), build_cyclic(3),
+    build_cyclic(12), build_semidirect(3, 4, 2), build_semidirect(6, 2, 5),
+    build_direct_product(build_cyclic(2), build_cyclic(6)),
+    parse_group_spec("product:cyclic:4,cyclic:100"), build_semidirect(100, 4, 7),
+]
+
+
+@pytest.mark.parametrize("g", READER_GROUPS, ids=lambda g: g.name)
+def test_reader_matches_the_per_cell_oracle_on_relabelings(g):
+    rng = random.Random(g.name)
+    for trial in range(3 if g.order < 100 else 1):
+        rows = relabeled_rows(g, rng, keep_identity=trial == 2)
+        loaded, error = assert_readers_agree(table_text(rows))
+        assert error is None and loaded.order == g.order
+        assert loaded.abelian == g.abelian
+        assert sorted(loaded.element_orders) == sorted(g.element_orders)
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@pytest.mark.parametrize("g", [build_cyclic(1), build_cyclic(3), build_semidirect(3, 4, 2),
+                               parse_group_spec("product:cyclic:4,cyclic:100")], ids=lambda g: g.name)
+def test_reader_accepts_leading_zeros_and_other_decimal_digits_as_before(g):
+    rng = random.Random(7)
+    rows = relabeled_rows(g, rng)
+    spellings = [
+        lambda v: f"0{v}",
+        lambda v: str(v).translate(ARABIC_INDIC),
+        lambda v: f"00{v}" if v % 3 == 0 else str(v),
+        lambda v: str(v).translate(ARABIC_INDIC) if v % 2 else str(v),
+    ]
+    plain = parse_cayley_table(table_text(rows), name="t")
+    for spell in spellings:
+        loaded, error = assert_readers_agree(table_text(rows, spell))
+        assert error is None and loaded == plain
+    # one row spelled otherwise, the rest plain
+    mixed = table_text([*rows[:-1], [f"0{v}" for v in rows[-1]]])
+    assert assert_readers_agree(mixed) == (plain, None)
+
+
+@pytest.mark.parametrize("cell", ["+1", "0_1", "-1", "1.0", "x", "¹", "٠_١", "12", "012", "١٢"])
+def test_reader_names_the_same_bad_cell(cell):
+    rows = relabeled_rows(build_semidirect(3, 4, 2), random.Random(3))
+    for r, c in ((0, 0), (5, 11), (11, 3)):
+        bad = [list(map(str, row)) for row in rows]
+        bad[r][c] = cell
+        if r == 5:
+            bad[5][2] = "013"     # an earlier cell of the row out of range, with a leading zero
+        _, error = assert_readers_agree(table_text(bad))
+        assert error is not None and f"row {r}, column " in error
+
+
+def test_reader_rejections_match_the_oracle():
+    rows = relabeled_rows(build_semidirect(3, 4, 2), random.Random(4))
+    cases = [
+        "", "# only a comment\n", "x\n", "2 2\n0 1\n1 0\n", "2\n0 1\n", "2\n0 1\n1 0\n1 0\n",
+        "2\n0 1\n1\n", "1001\n", "0\n", "1\n1\n", "1\n0 0\n", "3\n0 2 1\n1 0 2\n2 1 0\n",
+        "2\n0 1\n+1 0_1\n", "2\n0 x\n1 0\n", "2\n0 5\n1 0\n",
+        table_text(rows[:6] + rows[5:11]),              # a repeated row
+        table_text([list(reversed(r)) for r in rows]),  # no two-sided identity
+    ]
+    for text in cases:
+        assert_readers_agree(text)
+    # LOOP5 under every relabeling that moves the identity: the same triple each time
+    for perm in itertools.permutations(range(5)):
+        table = [[0] * 5 for _ in range(5)]
+        for i in range(5):
+            for j in range(5):
+                table[perm[i]][perm[j]] = perm[LOOP5[i][j]]
+        _, error = assert_readers_agree(table_text(table))
+        assert "not associative" in error
+
+
+def benchmark_loop_rows(rng, order=400):
+    """Z400 with the intercalate at rows i, i+200 and columns j, j+200 swapped, relabeled
+    so the identity leaves index 0: the non-associative loop of the certify benchmark."""
+    half = order // 2
+    rows = [list(r) for r in build_cyclic(order).mul]
+    i, j = rng.randrange(1, half), rng.randrange(1, half)
+    for r, c in ((i, j), (i, j + half), (i + half, j), (i + half, j + half)):
+        rows[r][c] = (rows[r][c] + half) % order
+    perm = list(range(order))
+    rng.shuffle(perm)
+    if perm[0] == 0:
+        k = rng.randrange(1, order)
+        perm[0], perm[k] = perm[k], perm[0]
+    old = [0] * order
+    for x, y in enumerate(perm):
+        old[y] = x
+    return [[perm[rows[a][b]] for b in old] for a in old]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reader_reports_the_same_triple_on_the_benchmark_loop(seed):
+    rows = benchmark_loop_rows(random.Random(seed))
+    _, error = assert_readers_agree(table_text(rows))
+    i, j, k = map(int, re.search(r"\((\d+)\*(\d+)\)\*(\d+)", error).groups())
+    assert rows[rows[i][j]][k] != rows[i][rows[j][k]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabeled_tables())
+def test_light_test_reports_the_oracle_triple(table):
+    assert _find_associativity_violation(table) == oracle_light_test(table)
+    n = len(table)
+    report = Group(n, table, tuple(range(n)), False, (1,) * n, "t")
+    assert repr(validate_group(report)) == repr(oracle_validate_group(report))
+
+
+def test_light_test_reports_the_oracle_triple_on_every_small_table():
+    for n in (1, 2, 3):
+        for cells in itertools.product(range(n), repeat=n * n):
+            table = tuple(cells[i * n : (i + 1) * n] for i in range(n))
+            assert _find_associativity_violation(table) == oracle_light_test(table), table
+            g = Group(n, table, tuple(range(n)), False, (1,) * n, "t")
+            assert repr(validate_group(g)) == repr(oracle_validate_group(g)), table
+
+
+@pytest.mark.parametrize("g", small_group_zoo() + READER_GROUPS, ids=lambda g: g.name)
+def test_validate_group_matches_the_oracle_report(g):
+    assert repr(validate_group(g)) == repr(oracle_validate_group(g))
+    assert validate_group(g).ok
+
+
+def test_cyclic_table_is_the_table_of_residues():
+    for n in (1, 2, 3, 12, 400, 1000):
+        assert build_cyclic(n).mul == tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+
+
+def test_product_and_semidirect_tables_match_the_per_cell_formulas():
+    def product_cells(g, h):
+        hn = h.order
+        return tuple(
+            tuple(g.mul[x1][x2] * hn + h.mul[y1][y2] for x2 in range(g.order) for y2 in range(hn))
+            for x1 in range(g.order) for y1 in range(hn)
+        )
+
+    def semidirect_cells(m, n, k):
+        return tuple(
+            tuple(((i1 + i2 * pow(k, j1, m)) % m) * n + (j1 + j2) % n
+                  for i2 in range(m) for j2 in range(n))
+            for i1 in range(m) for j1 in range(n)
+        )
+
+    factors = [build_cyclic(1), build_cyclic(2), build_cyclic(5), build_semidirect(3, 2, 2),
+               build_semidirect(5, 4, 2)]
+    for g, h in itertools.product(factors, repeat=2):
+        assert build_direct_product(g, h).mul == product_cells(g, h), (g.name, h.name)
+    assert build_direct_product(build_cyclic(4), build_cyclic(100)).mul == product_cells(
+        build_cyclic(4), build_cyclic(100))
+    for m, n, k in [(1, 1, 1), (1, 5, 1), (5, 1, 1), (7, 3, 2), (5, 8, 2), (20, 2, 19),
+                    (21, 2, 20), (101, 5, 36), (1, 40, 1)]:
+        assert build_semidirect(m, n, k).mul == semidirect_cells(m, n, k), (m, n, k)

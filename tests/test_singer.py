@@ -15,7 +15,9 @@ from bigraphds.singer import (
     find_primitive_poly,
     has_root,
     is_primitive,
+    mul_mod,
     pow_mod,
+    prime_factors,
     prime_power_decompose,
     singer_set,
 )
@@ -352,3 +354,54 @@ def test_published_sets_fixture():
         cls = classify_set(CandidateSet(build_cyclic(n), elems))
         assert cls.verdict == PERFECT and cls.s == s and cls.n == n
         assert n == s * s - s + 1
+
+
+def oracle_is_primitive(field, poly) -> bool:
+    """is_primitive as first written, testing x^r = 1 at every degree."""
+    deg = len(poly) - 1
+    if deg < 2 or has_root(field, poly):
+        return False
+    r = len(field[0]) ** deg - 1
+    x, one = (0, 1) + (0,) * (deg - 2), (1,) + (0,) * (deg - 1)
+    if pow_mod(field, x, r, poly) != one:
+        return False
+    return all(pow_mod(field, x, r // ell, poly) != one for ell in prime_factors(r))
+
+
+@pytest.mark.parametrize(
+    "q, degrees", [(2, (2, 3, 4)), (3, (2, 3)), (4, (2, 3)), (5, (2, 3)), (7, (2, 3)), (8, (2, 3)),
+                   (9, (2, 3))], ids=lambda x: f"GF{x}" if isinstance(x, int) else None,
+)
+def test_is_primitive_equals_the_test_with_x_to_the_r(q, degrees):
+    """Skipping x^r = 1 below degree 4 changes no verdict; degree 4 still runs it."""
+    field = build_field(q)
+    for deg in degrees:
+        verdicts = set()
+        for coeffs in itertools.product(range(q), repeat=deg):
+            poly = (*coeffs, 1)
+            verdict = is_primitive(field, poly)
+            assert verdict == oracle_is_primitive(field, poly), poly
+            verdicts.add(verdict)
+        assert verdicts == {False, True}
+
+
+def oracle_walk_exponents(field, modulus) -> tuple[int, ...]:
+    """singer_set's raw exponents from the power walk by a general product modulo the cubic."""
+    q = len(field[0])
+    logs, x, elem = {}, (0, 1, 0), (1, 0, 0)
+    for i in range(q**3 - 1):
+        if elem[0] == 1 and elem[2] == 0 and elem[1]:
+            logs[elem[1]] = i
+        elem = mul_mod(field, elem, x, modulus)
+    assert elem == (1, 0, 0)
+    return tuple(sorted([0, 1, *logs.values()]))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_shift_walk_matches_the_general_product_for_every_primitive_cubic(q):
+    field = build_field(q)
+    cubics = [(*c, 1) for c in itertools.product(range(q), repeat=3)]
+    primitive = [poly for poly in cubics if is_primitive(field, poly)]
+    assert primitive
+    for poly in primitive:
+        assert singer_set(q, poly).exponents_raw == oracle_walk_exponents(field, poly), poly
