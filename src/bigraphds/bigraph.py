@@ -14,9 +14,13 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .diffsets import CandidateSet
-from .errors import UsageError, ValidationError
+from .errors import CapacityError, UsageError, ValidationError
 
 EXPORT_FORMATS = ("edge-list", "dot", "json")
+# Size limits of G_m(S), checked before its adjacency is allocated; every
+# m = 1 graph over a group of order at most groups.MAX_ORDER fits.
+MAX_VERTICES = 100_000
+MAX_EDGES = 1_000_000
 
 
 @dataclass
@@ -111,7 +115,13 @@ def build_difference_graph(cand: CandidateSet, m: int) -> BiGraph:
         raise ValidationError(
             f"set of size {s} in a group of order {n} gives a degenerate graph"
         )
-    adjacency: list[list[int]] = [[] for _ in range((m + 1) * n)]
+    vertices, edges = (m + 1) * n, m * n * s
+    if vertices > MAX_VERTICES or edges > MAX_EDGES:
+        raise CapacityError(
+            f"G_{m}(S) would have {vertices} vertices and {edges} edges; "
+            f"the limits are {MAX_VERTICES} and {MAX_EDGES}"
+        )
+    adjacency: list[list[int]] = [[] for _ in range(vertices)]
     mul = group.mul
     for l in range(1, m + 1):
         base = n + (l - 1) * n

@@ -17,6 +17,7 @@ TABLE_KINDS = ("moore", "improved")
 TABLE_FORMATS = ("md", "csv", "json")
 MAX_DIGITS = 4300  # CPython's default limit on converting an int to decimal
 _DIGIT_LIMIT = 10**MAX_DIGITS
+MAX_TABLE_CELLS = 10_000  # cells of a rendered grid, (r_max - 1) * (s_max - 1)
 # per kind: the corner label "row axis\\column axis", the cell value and the blank marker
 _TABLES = {
     "moore": ("r\\s", lambda report: report.moore, ""),
@@ -144,6 +145,8 @@ def render_table(kind: str, r_max: int, s_max: int, fmt: str = "md") -> str:
         raise UsageError(f"unknown table format {fmt!r}; expected one of {TABLE_FORMATS}")
     if r_max < 2 or s_max < 2:
         raise ValidationError("table bounds must be >= 2")
+    if (r_max - 1) * (s_max - 1) > MAX_TABLE_CELLS:
+        raise CapacityError(f"a {r_max} x {s_max} table exceeds {MAX_TABLE_CELLS} cells")
     corner, value, blank = _TABLES[kind]
     row_axis, col_axis = corner.split("\\")
     span = {"r": range(2, r_max + 1), "s": range(2, s_max + 1)}

@@ -183,8 +183,6 @@ def _cmd_search(args) -> tuple[dict, str, int]:
         require_inverse_covering=args.require_inverse_covering,
         prune=not args.no_prune,
         worker_count=workers,
-        report_interval=args.report_interval,
-        resume_from=args.resume_from,
     )
     run = search.exists_covering_set if args.exists_only else search.enumerate_covering_sets
     out = run(config)
@@ -308,10 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep the first N sets; the search still runs to the end")
     p.add_argument("--workers", type=int)
     p.add_argument("--no-prune", action="store_true")
-    p.add_argument("--resume-from", type=int, default=1, metavar="K",
-                   help="start at partition K, the sets (0, 1, K+1, ...)")
-    p.add_argument("--report-interval", type=int, default=0,
-                   help="progress line every N completed partitions")
     add_json(p)
 
     p = sub.add_parser("sweep", help="exists-search over a family of groups")

@@ -147,9 +147,9 @@ def parse_word(group: Group, word: str) -> int:
 
 def parse_set_literal(group: Group, text: str) -> CandidateSet:
     """CLI set literal: comma-separated element indices or generator words."""
-    items = [item.strip() for item in text.split(",") if item.strip()]
-    if not items:
-        raise UsageError(f"empty set literal {text!r}")
+    items = [item.strip() for item in text.split(",")]
+    if not all(items):
+        raise UsageError(f"set literal {text!r} has an empty item")
     elems = []
     for item in items:
         if re.fullmatch(r"\d+", item):

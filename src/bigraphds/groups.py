@@ -410,31 +410,3 @@ def parse_group_spec(spec: str) -> Group:
         raise UsageError(f"trailing text {rest!r} after group spec")
     return group
 
-
-def nonabelian_order42_groups() -> list[Group]:
-    """The five non-Abelian groups of order 42, via the named constructions."""
-    z2 = build_cyclic(2)
-    z3 = build_cyclic(3)
-    z7 = build_cyclic(7)
-    d6 = build_semidirect(3, 2, 2)      # S3
-    d14 = build_semidirect(7, 2, 6)
-    z7_z3 = build_semidirect(7, 3, 2)
-    groups = [
-        build_semidirect(7, 6, 3),      # Frobenius group of order 42
-        build_semidirect(21, 2, 20),    # dihedral of order 42
-        build_direct_product(d6, z7),
-        build_direct_product(d14, z3),
-        build_direct_product(z7_z3, z2),
-    ]
-    assert all(not g.abelian and g.order == 42 for g in groups)
-    return groups
-
-
-def abelian_order40_groups() -> list[Group]:
-    """Z_40, Z_2 x Z_20, and Z_2 x Z_2 x Z_10."""
-    z2 = build_cyclic(2)
-    return [
-        build_cyclic(40),
-        build_direct_product(z2, build_cyclic(20)),
-        build_direct_product(build_direct_product(z2, z2), build_cyclic(10)),
-    ]

@@ -17,6 +17,17 @@ from . import bigraph, bounds, diffsets, groups, search, singer
 from .errors import InternalError
 
 Z39_WITNESS = (0, 1, 2, 4, 13, 18, 33)
+# The five non-Abelian groups of order 42: the Frobenius group Z7 x| Z6, the
+# dihedral group, S3 x Z7, D14 x Z3 and (Z7 x| Z3) x Z2.
+NONABELIAN_ORDER42 = (
+    "semidirect:7,6,3",
+    "semidirect:21,2,20",
+    "product:semidirect:3,2,2,cyclic:7",
+    "product:semidirect:7,2,6,cyclic:3",
+    "product:semidirect:7,3,2,cyclic:2",
+)
+# The three Abelian groups of order 40: Z40, Z2 x Z20 and Z2 x Z2 x Z10.
+ABELIAN_ORDER40 = ("cyclic:40", "product:cyclic:2,cyclic:20", "product:product:cyclic:2,cyclic:2,cyclic:10")
 SEARCH_BUDGET_MS = 15 * 60 * 1000  # each order-39..42 search must finish within 15 minutes
 
 
@@ -173,7 +184,7 @@ def _gamma1() -> tuple[bool, str]:
 
 
 def _abelian_searches(workers: int) -> tuple[bool, str]:
-    for group in [groups.build_cyclic(42), groups.build_cyclic(41), *groups.abelian_order40_groups()]:
+    for group in map(groups.parse_group_spec, ("cyclic:42", "cyclic:41", *ABELIAN_ORDER40)):
         out = search.enumerate_covering_sets(search.SearchConfig(group, 7, worker_count=workers))
         if out.found or not out.exhausted or out.wall_time_ms >= SEARCH_BUDGET_MS:
             return False, (
@@ -195,7 +206,7 @@ def _z39_enumeration(workers: int) -> tuple[bool, str]:
 
 
 def _nonabelian_sweep(workers: int) -> tuple[bool, str]:
-    rows = search.sweep_family(groups.nonabelian_order42_groups(), 7, worker_count=workers)
+    rows = search.sweep_family(NONABELIAN_ORDER42, 7, worker_count=workers)
     bad = [row.spec for row in rows if row.found is not False or row.wall_time_ms >= SEARCH_BUDGET_MS]
     if bad:
         return False, f"unexpected outcome for {bad}"

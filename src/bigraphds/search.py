@@ -29,9 +29,8 @@ so it prunes partial sets.  The enumeration expands each find S into its
 canonical images phi(S t^-1), t in S, deduplicated and sorted.  The least
 canonical covering set is least in its orbit, so it survives and is the
 first find, where the existence search stops.  Past AUTOMORPHISM_CELLS / n
-automorphisms, or resumed past partition 1 (whose output is the translates
-of its own finds), a search expands by translations only.  prune=False
-runs the plain search with neither rule.
+automorphisms a search expands by translations only.  prune=False runs the
+plain search with neither rule.
 
 Work is partitioned by the third element: partition K holds the anchored
 sets whose third element is K + 1, for K = 1..n-s+1 (for size 2 the only
@@ -45,13 +44,12 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import sys
 import time
 from dataclasses import dataclass
 
 from .diffsets import CandidateSet, SetClassification, classify_set
 from .errors import CapacityError, InternalError, UsageError, ValidationError
-from .groups import Group, automorphisms
+from .groups import Group, automorphisms, parse_group_spec
 
 
 @dataclass(frozen=True)
@@ -61,8 +59,6 @@ class SearchConfig:
     require_inverse_covering: bool = False
     prune: bool = True
     worker_count: int = 1
-    report_interval: int = 0
-    resume_from: int = 1
 
     def __post_init__(self) -> None:
         if self.size < 2:
@@ -73,14 +69,6 @@ class SearchConfig:
             )
         if self.worker_count < 1:
             raise ValidationError(f"worker count must be >= 1, got {self.worker_count}")
-        if self.resume_from < 1:
-            raise ValidationError(f"resume point must be >= 1, got {self.resume_from}")
-        if self.resume_from > self.partitions:
-            raise ValidationError(
-                f"resume point {self.resume_from} is past the last partition {self.partitions}"
-            )
-        if self.report_interval < 0:
-            raise ValidationError(f"report interval must be >= 0, got {self.report_interval}")
 
     @property
     def partitions(self) -> int:
@@ -265,31 +253,19 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
     slack = s * (s - 1) - (n - 1)
     involutions = len(group.involutions()) if config.prune else 0
     # Each covered involution costs at least 1 excess: past the slack, no set covers.
-    todo = [] if involutions > slack else list(range(config.resume_from, config.partitions + 1))
+    todo = [] if involutions > slack else list(range(1, config.partitions + 1))
 
     raw_finds: list[tuple[int, ...]] = []
     # Examined, pruned and orbit-pruned nodes, indexed by the candidate's size.
     totals = [[0] * (s + 1) for _ in range(3)]
     maps: list = [range(n)]        # the automorphisms, or the identity alone
-    done = 0
     fan_out = None                 # the first unit handed to the pool
 
     def consume(result: tuple) -> bool:
-        nonlocal done
-        k, finds, tallies, rest = result
+        _, finds, tallies, _ = result
         for total, tally in zip(totals, tallies):
             total[:] = map(sum, zip(total, tally))
         raw_finds.extend(finds)
-        if rest is not None:       # a partition split for the pool counts once, at its end
-            return False
-        done += 1
-        if config.report_interval and (done % config.report_interval == 0 or done == len(todo)):
-            print(
-                f"[search {group.name} s={s}] last completed partition {k} "
-                f"({done}/{len(todo)}), anchored finds so far: {len(raw_finds)}",
-                file=sys.stderr,
-                flush=True,
-            )
         return stop_on_find and bool(raw_finds)
 
     if todo:
@@ -298,11 +274,9 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
         if config.prune:  # shadow cells n + u for the involutions above the diagonal
             shadow = [d + n if group.element_orders[d] == 2 else d for d in range(n)]
             table = [row[: t + 1] + [shadow[d] for d in row[t + 1 :]] for t, row in enumerate(dt)]
-            # A resumed search outputs the translates of the finds in its own
-            # partitions, so only a whole search may skip non-canonical orbits.
             cap = AUTOMORPHISM_CELLS // n
-            auts = config.resume_from == 1 and list(itertools.islice(automorphisms(group), cap + 1))
-            if auts and len(auts) <= cap:
+            auts = list(itertools.islice(automorphisms(group), cap + 1))
+            if len(auts) <= cap:
                 maps, orbit = auts, _orbit_table(dt, auts)
         state = (table, tuple(group.inv), n, s, slack, config.prune, stop_on_find,
                  config.require_inverse_covering, involutions, orbit)
@@ -335,7 +309,7 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
                 pool.join()
 
     # An existence search that stopped at its witness left the rest unsearched.
-    exhausted = done == len(todo) and config.resume_from == 1 and not (stop_on_find and raw_finds)
+    exhausted = not (stop_on_find and raw_finds)
     if stop_on_find:
         sets = raw_finds[:1]
     else:
@@ -376,20 +350,17 @@ def exists_covering_set(config: SearchConfig) -> SearchOutcome:
     return _run(config, stop_on_find=True)
 
 
-def sweep_family(groups, size: int, **config_kwargs) -> list[SweepRow]:
-    """Run exists_covering_set over a family.
+def sweep_family(specs, size: int, **config_kwargs) -> list[SweepRow]:
+    """Run exists_covering_set over a family of group specs.
 
     A bad spec, invalid configuration or oversized group becomes an error row
     and the sweep goes on; any other error propagates.
     """
-    from .groups import parse_group_spec
-
     rows = []
-    for item in groups:
+    for spec in specs:
         t0 = time.monotonic()
-        spec = item if isinstance(item, str) else item.name
         try:
-            group = parse_group_spec(item) if isinstance(item, str) else item
+            group = parse_group_spec(spec)
             outcome = exists_covering_set(SearchConfig(group, size, **config_kwargs))
             witness = outcome.found[0].elements if outcome.found else None
             rows.append(

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from bigraphds import ledger, search
+from bigraphds import bigraph, bounds, ledger, search
 from bigraphds.cli import main
 from bigraphds.diffsets import NON_COVERING
 from bigraphds.errors import InternalError
@@ -25,9 +25,41 @@ def test_sweep_exits_with_first_error_row_code(capsys):
     assert [row["error_code"] for row in envelope["payload"]["results"]] == [4, None]
 
 
-def test_search_resume_past_last_partition_is_rejected(capsys):
-    assert main(["search", "--group", "cyclic:7", "--size", "3", "--resume-from", "99"]) == 3
-    assert "past the last partition" in capsys.readouterr().err
+@pytest.mark.parametrize("flag", [["--resume-from", "2"], ["--report-interval", "1"]],
+                         ids=["resume-from", "report-interval"])
+def test_removed_search_flags_are_usage_errors(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--group", "cyclic:7", "--size", "3", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["0,,1", "0,1,"])
+def test_empty_set_literal_item_is_a_usage_error(literal, capsys):
+    assert main(["classify", "--group", "cyclic:7", "--set", literal]) == 2
+    assert "has an empty item" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "limit,value",
+    [("MAX_VERTICES", 21), ("MAX_EDGES", 42)],  # G_2({0,1,3}) over Z7 has 21 vertices, 42 edges
+)
+def test_graph_past_a_size_limit_exits_4(limit, value, monkeypatch, capsys):
+    argv = ["graph", "--group", "cyclic:7", "--set", "0,1,3", "--m", "2"]
+    monkeypatch.setattr(bigraph, limit, value)
+    assert main(argv) == 0
+    monkeypatch.setattr(bigraph, limit, value - 1)
+    assert main(argv) == 4
+    assert "21 vertices and 42 edges" in capsys.readouterr().err
+
+
+def test_table_past_the_cell_limit_exits_4(monkeypatch, capsys):
+    argv = ["table", "--kind", "moore", "--rmax", "8", "--smax", "8"]
+    monkeypatch.setattr(bounds, "MAX_TABLE_CELLS", 49)  # 7 x 7 cells
+    assert main(argv) == 0
+    monkeypatch.setattr(bounds, "MAX_TABLE_CELLS", 48)
+    assert main(argv) == 4
+    assert "exceeds 48 cells" in capsys.readouterr().err
 
 
 def test_graph_out_without_format_is_usage_error(tmp_path):

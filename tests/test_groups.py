@@ -16,19 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bigraphds
-from bigraphds import groups
+from bigraphds import groups, ledger
 from bigraphds.errors import CapacityError, UsageError, ValidationError
 from bigraphds.groups import (
     Group,
     _find_associativity_violation,
-    abelian_order40_groups,
     automorphisms,
     build_cyclic,
     build_direct_product,
     build_semidirect,
     format_cayley_table,
     load_cayley_table,
-    nonabelian_order42_groups,
     parse_cayley_table,
     parse_group_spec,
     validate_group,
@@ -183,11 +181,18 @@ def test_validate_group_involutions():
     assert not report.abelian and len(report.involutions) == 1
 
 
-def test_named_families():
-    for g in nonabelian_order42_groups():
-        assert g.order == 42 and not g.abelian and validate_group(g).ok
-    orders = [g.order for g in abelian_order40_groups()]
-    assert orders == [40, 40, 40]
+@pytest.mark.parametrize(
+    "specs,count,order,abelian",
+    [(ledger.NONABELIAN_ORDER42, 5, 42, False), (ledger.ABELIAN_ORDER40, 3, 40, True)],
+    ids=["nonabelian-42", "abelian-40"],
+)
+def test_ledger_families_name_distinct_groups(specs, count, order, abelian):
+    reports = [validate_group(parse_group_spec(spec)) for spec in specs]
+    assert len(reports) == count
+    assert all(r.ok and r.order == order and r.abelian == abelian for r in reports)
+    # Isomorphic groups share their element-order histogram.
+    histograms = [r.order_histogram for r in reports]
+    assert all(a != b for a, b in itertools.combinations(histograms, 2))
 
 
 def test_cayley_roundtrip_gamma1():

@@ -124,26 +124,6 @@ def test_multiworker_determinism():
     assert (0, 1, 4, 14, 16) in [f.elements for f in solo.found]
 
 
-def translates(group, elems):
-    """The right translates S t^-1, t in S, of a set, as sorted tuples."""
-    return {tuple(sorted(group.mul[x][group.inv[t]] for x in elems)) for t in elems}
-
-
-def test_resume_from_skips_partitions():
-    # Partition K holds the anchored sets (0, 1, K + 1, ...).  From K = 3 on,
-    # Z7 has the one anchored find (0, 1, 5), output with its translates.
-    out = enumerate_covering_sets(SearchConfig(build_cyclic(7), 3, resume_from=3))
-    assert [f.elements for f in out.found] == [(0, 1, 5), (0, 2, 3), (0, 4, 6)]
-    assert not out.exhausted
-    group = build_cyclic(21)
-    anchored = [e for e in oracle_covering_sets(group, 5) if e[:2] == (0, 1)]
-    for k in (2, 6):
-        out = enumerate_covering_sets(SearchConfig(group, 5, resume_from=k))
-        expected = sorted(set().union(*(translates(group, e) for e in anchored if e[2] >= k + 1)))
-        assert [f.elements for f in out.found] == expected
-        assert not out.exhausted
-
-
 def test_require_inverse_covering_is_noop_for_abelian():
     base = enumerate_covering_sets(SearchConfig(build_cyclic(7), 3))
     flagged = enumerate_covering_sets(
@@ -168,17 +148,6 @@ def test_invalid_configs():
         SearchConfig(build_cyclic(7), 8)
     with pytest.raises(ValidationError):
         SearchConfig(build_cyclic(7), 3, worker_count=0)
-    SearchConfig(build_cyclic(7), 3, resume_from=5)  # the last partition
-    with pytest.raises(ValidationError):
-        SearchConfig(build_cyclic(7), 3, resume_from=6)
-    with pytest.raises(ValidationError):
-        SearchConfig(build_cyclic(7), 3, resume_from=0)
-    with pytest.raises(ValidationError):
-        SearchConfig(build_cyclic(7), 3, resume_from=-5)
-    with pytest.raises(ValidationError):
-        SearchConfig(build_cyclic(7), 3, report_interval=-1)
-    with pytest.raises(ValidationError):
-        SearchConfig(build_cyclic(7), 2, resume_from=2)  # size 2 has the one partition (0, 1)
 
 
 def test_whole_group_is_always_covering():
@@ -235,18 +204,6 @@ def test_early_exit_pool_stops_without_terminate(monkeypatch):
 def test_sweep_family_z39_witness():
     rows = sweep_family(["cyclic:39"], 7)
     assert rows[0].found is True and rows[0].witness == (0, 1, 2, 4, 13, 18, 33)
-
-
-def test_sweep_accepts_group_objects():
-    rows = sweep_family([build_cyclic(6)], 3)
-    assert rows[0].found is True and rows[0].witness == (0, 1, 3)
-
-
-def test_progress_reporting_goes_to_stderr(capsys):
-    enumerate_covering_sets(SearchConfig(build_cyclic(7), 3, report_interval=2))
-    captured = capsys.readouterr()
-    assert "last completed partition" in captured.err
-    assert captured.out == ""
 
 
 ORACLE_GROUPS = [build_cyclic(n) for n in range(3, 17)] + [
@@ -528,17 +485,11 @@ def test_early_exit_through_a_forced_pool_stops_without_terminate(monkeypatch):
         assert out.fan_out is not None
 
 
-def test_split_partition_is_reported_once(monkeypatch, capsys):
+def test_search_split_mid_partition_is_exhausted(monkeypatch):
     monkeypatch.setattr(search, "FAN_OUT_NODES", MID_PARTITION_BUDGET)
-    config = SearchConfig(build_cyclic(21), 5, worker_count=2, report_interval=1)
-    out = enumerate_covering_sets(config)
+    out = enumerate_covering_sets(SearchConfig(build_cyclic(21), 5, worker_count=2))
     k, first = out.fan_out
     assert first > k + 2 and out.exhausted
-    lines = capsys.readouterr().err.splitlines()
-    assert [int(line.split("partition ")[1].split()[0]) for line in lines] == list(
-        range(1, config.partitions + 1)
-    )
-    assert lines[-1].split("(")[1].startswith(f"{config.partitions}/{config.partitions})")
 
 
 def test_small_search_starts_no_pool(monkeypatch):
