@@ -193,7 +193,8 @@ def _cmd_search(args) -> tuple[dict, str, int]:
         f"{len(out.found)} covering set(s)"
         + (", search exhausted" if out.exhausted else ", stopped early")
         + f"; examined={out.candidates_examined}, pruned={out.candidates_pruned} "
-        f"(orbit rule {sum(out.orbit_pruned_by_depth)}), {out.wall_time_ms} ms"
+        f"(orbit rule {sum(out.orbit_pruned_by_depth)}) "
+        f"(coset bound {sum(out.coset_pruned_by_depth)}), {out.wall_time_ms} ms"
     ]
     shown = out.found[:20]
     lines.extend(

@@ -10,11 +10,20 @@ the full profile automatically charges a doubled non-involution twice (its
 inverse doubles with it), which is what rules out most candidates early when
 the slack is small.
 
-Involution bound.  A covered involution u = t_i t_j^-1 is also t_j t_i^-1,
-so it costs at least 1 excess; with more involutions than slack the search
-stops at the root.  Otherwise excess starts at the number of involutions,
-and the search's table sends involutions above the diagonal to shadow
-cells n + u: the first pair with difference u charges 0, each later one 2.
+Coset-count bound (contracted difference sets: Baumert 1971, Lander 1983).
+Let K be a normal subgroup of index d and a_c the number of elements of S in
+coset c.  The ordered differences in coset c number N_c = sum_b a_b a_{c^-1 b}
+(less s for c = K), and a covered involution u = t_i t_j^-1 is also t_j t_i^-1,
+so a covering S has N_c >= |K| + inv(c) for c != K and N_K >= |K| - 1 + inv(K),
+inv(c) the involutions in c.  The quotients are G/G and G/K for the normal
+closures K of single elements, read off the table, up to QUOTIENT_VECTORS
+count vectors; tried by index, the first with no feasible vector ends the
+search at the root.  G/G is the involution bound: with more involutions than
+slack no set covers.  The finest quotient prunes: a partial set dies when no
+feasible vector lies above its own, one table lookup per node.  Shadow cells
+charge the involutions too: excess starts at their number, and the search's
+table sends involutions above the diagonal to cells n + u, so the first pair
+with difference u charges 0, each later one 2.
 
 The search is anchored on the pair {0, 1}.  If S is covering, the element 1
 is a difference t_i t_j^-1 of S, so the right translate S t_j^-1 contains
@@ -30,7 +39,7 @@ canonical images phi(S t^-1), t in S, deduplicated and sorted.  The least
 canonical covering set is least in its orbit, so it survives and is the
 first find, where the existence search stops.  Past AUTOMORPHISM_CELLS / n
 automorphisms a search expands by translations only.  prune=False runs the
-plain search with neither rule.
+plain search with none of the rules.
 
 Work is partitioned by the third element: partition K holds the anchored
 sets whose third element is K + 1, for K = 1..n-s+1 (for size 2 the only
@@ -43,7 +52,9 @@ order, so output is deterministic for any worker count.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
+import operator
 import time
 from dataclasses import dataclass
 
@@ -95,8 +106,11 @@ class SearchOutcome:
     # Indexed by the size of the candidate set; each sums to the total above.
     examined_by_depth: tuple[int, ...] = ()
     pruned_by_depth: tuple[int, ...] = ()
-    # The automorphism rule's share of pruned_by_depth.
+    # The automorphism rule's and the coset bound's shares of pruned_by_depth.
     orbit_pruned_by_depth: tuple[int, ...] = ()
+    coset_pruned_by_depth: tuple[int, ...] = ()
+    # The index of the quotient that decided the search at the root or pruned it.
+    quotient_index: int | None = None
     # The partition and first fourth element handed to the pool; None inline.
     fan_out: tuple[int, int] | None = None
 
@@ -114,7 +128,8 @@ class SweepRow:
 
 # Per-process search state, installed by the searching process and the pool
 # initializer: (table, inv, n, s, slack, prune, stop_after_first, require_inverse,
-# excess0, orbit table or None), and the pool's shared stop flag (None inline).
+# excess0, orbit table or None, coset of each element, number of cosets, coset
+# automaton), and the pool's shared stop flag (None inline).
 _STATE: tuple | None = None
 _HALT = None
 
@@ -122,6 +137,8 @@ _HALT = None
 AUTOMORPHISM_CELLS = 2_000_000
 # With more workers, a search starts its pool past this many nodes (5-10 pool start-ups).
 FAN_OUT_NODES = 100_000
+# Past this many count vectors, C(s + d - 1, d - 1), a quotient of index d is left out.
+QUOTIENT_VECTORS = 3000
 
 
 def _set_state(state: tuple, halt=None) -> None:
@@ -140,14 +157,16 @@ def _search_partition(unit: tuple[int, int], budget: int | None = None) -> tuple
     (k, first); for size 2, the set (0, 1).  A unit past k + 2 continues a
     partition, so it leaves out the counts of the forced prefix.
 
-    Returns k, the finds in lexicographic order, the examined, pruned and
-    orbit-pruned counts indexed by the size of the candidate set, and None,
-    or the first fourth element left once budget nodes were examined.
+    Returns k, the finds in lexicographic order, the examined, pruned,
+    orbit-pruned and coset-pruned counts indexed by the size of the candidate
+    set, and None, or the first fourth element left once budget nodes were
+    examined.
     """
     k, first = unit
-    table, inv, n, s, slack, prune, stop_after_first, require_inverse, excess0, orbit = _STATE
+    (table, inv, n, s, slack, prune, stop_after_first, require_inverse, excess0, orbit,
+     coset, d, step) = _STATE
     halt = _HALT
-    examined, pruned, orbit_pruned = tallies = [[0] * (s + 1) for _ in range(3)]
+    examined, pruned, orbit_pruned, coset_pruned = tallies = [[0] * (s + 1) for _ in range(4)]
     finds: list[tuple[int, ...]] = []
     rest = None
     counts = [0] * (2 * n)
@@ -167,13 +186,18 @@ def _search_partition(unit: tuple[int, int], budget: int | None = None) -> tuple
     if pause(first - 1):
         return k, finds, tallies, rest
 
-    def extend(excess: int, start: int) -> bool:
+    def extend(excess: int, start: int, state: int) -> bool:
         size = len(partial)
         xs = fixed[size] if size < len(fixed) else range(start, n - s + size + 1)
-        ex = pr = op = 0
+        base = state * d
+        ex = pr = op = cp = 0
         stop = False
         for x in xs:
             ex += 1
+            after = step[base + coset[x]]
+            if after < 0:  # no feasible count vector lies above
+                cp += 1
+                continue
             rowx = table[x]
             exc = excess
             added = []
@@ -204,24 +228,25 @@ def _search_partition(unit: tuple[int, int], budget: int | None = None) -> tuple
                 pr += 1
             elif size + 1 < s:
                 partial.append(x)
-                stop = extend(exc, x + 1) or (size == 3 and pause(x))
+                stop = extend(exc, x + 1, after) or (size == 3 and pause(x))
                 partial.pop()
             elif exc <= slack:
                 elems = (*partial, x)
                 if not require_inverse or _inverse_is_covering(elems, table, inv, n):
                     finds.append(elems)
                     stop = stop_after_first
-            for d in added:
-                counts[d] -= 1
+            for u in added:
+                counts[u] -= 1
             if stop:
                 break
         # Counted per frame: a list update per node would sit in the hottest loop.
         examined[size + 1] += ex
-        pruned[size + 1] += pr
+        pruned[size + 1] += pr + cp
         orbit_pruned[size + 1] += op
+        coset_pruned[size + 1] += cp
         return stop
 
-    extend(excess0, 1)
+    extend(excess0, 1, step[0])
     if first > k + 2:
         for tally in tallies:
             tally[2] = tally[3] = 0
@@ -246,18 +271,153 @@ def _orbit_table(dt: list[list[int]], auts: list[tuple[int, ...]]) -> list[list[
     return orbit * 2
 
 
+def _quotients(group: Group, s: int):
+    """G/G, then G/K by index for the normal closures K of single elements, up
+    to QUOTIENT_VECTORS count vectors: (d, the coset of each element, div with
+    x y^-1 in coset div[b][c] for x in coset b and y in coset c, and the
+    differences each coset needs).  Coset 0 is K, and K contains 0."""
+    n, mul, inv, orders = group.order, group.mul, group.inv, group.element_orders
+    involutions = group.involutions()
+    yield 1, [0] * n, [[0]], [n - 1 + len(involutions)]
+    dmax = 1
+    while math.comb(s + dmax, dmax) <= QUOTIENT_VECTORS:  # the count for index dmax + 1
+        dmax += 1
+    sizes = {n // d for d in range(2, dmax + 1) if n % d == 0}
+    closures: dict[frozenset, list[int]] = {}
+    seen = [False] * n
+    for g in range(1, n):
+        if seen[g] or not any(m % orders[g] == 0 for m in sizes):
+            continue
+        gens = [g] if group.abelian else {mul[mul[x][g]][inv[x]] for x in range(n)}
+        closure, member = [0], [True] + [False] * (n - 1)
+        for h in closure:
+            for y in map(mul[h].__getitem__, gens):
+                if not member[y]:
+                    member[y] = True
+                    closure.append(y)
+        # Conjugates have one closure; so do the generators of a cyclic <g>.
+        for y in [y for y in closure if orders[y] == orders[g]] if group.abelian else gens:
+            seen[y] = True
+        if len(closure) in sizes:
+            closures.setdefault(frozenset(closure), closure)
+    for sub in sorted(closures.values(), key=len, reverse=True):
+        coset, reps = [-1] * n, []
+        for x in range(n):
+            if coset[x] < 0:
+                for h in sub:
+                    coset[mul[h][x]] = len(reps)
+                reps.append(x)
+        need = [len(sub)] * len(reps)
+        need[0] -= 1
+        for u in involutions:
+            need[coset[u]] += 1
+        yield len(reps), coset, [[coset[mul[x][inv[y]]] for y in reps] for x in reps], need
+
+
+def _count_vectors(div, need, s: int, budget: int, first_only: bool = False) -> list:
+    """The count vectors of covering s-sets: N_c >= need[c] for every coset c.
+
+    The surplus, the sum of (N_c - need[c])^+, only grows as elements are
+    placed and ends at most budget.  Cosets are filled in order, coset 0 with
+    a largest count; the translates a_{c t} of a feasible vector are feasible,
+    so closing under them gives every vector.  N_0 gains k(k - 1) from each
+    coset, least when the rest is spread evenly and most when it is packed.
+    With first_only, stop at the first vector found, untranslated.
+    """
+    d = len(need)
+    counts, diffs, found = [0] * d, [0] * d, []
+    cells = [[(div[c][b], div[b][c]) for b in range(c)] for c in range(d)]
+
+    def place(c: int, left: int, surplus: int, top: int) -> None:
+        room = d - 1 - c  # cosets after c, each taking at most top
+        pairs = [(x, y, counts[b]) for b, (x, y) in enumerate(cells[c]) if counts[b]]
+        for k in range(min(left, top), -1, -1) if room else (left,):
+            rest, most = left - k, top if c else k
+            if rest > room * most:
+                break
+            adds = []
+            if k:
+                adds = [(0, k * (k - 1))] + [(cell, k * m) for x, y, m in pairs for cell in (x, y)]
+            more = surplus
+            for cell, delta in adds:
+                over = diffs[cell] - need[cell]
+                diffs[cell] += delta
+                more += max(0, over + delta) - max(0, over)
+            low = high = diffs[0]
+            if room:
+                q, e = divmod(rest, room)
+                low += e * (q + 1) * q + (room - e) * q * (q - 1)
+                q, e = divmod(rest, most)
+                high += q * most * (most - 1) + e * (e - 1)
+            # N_0 ends between low and high, so its surplus ends at least low's.
+            least = more + max(0, low - need[0]) - max(0, diffs[0] - need[0])
+            if high >= need[0] and least <= budget:
+                counts[c] = k
+                if room:
+                    place(c + 1, rest, more, most)
+                elif all(map(operator.ge, diffs, need)):
+                    found.append(tuple(counts))
+                counts[c] = 0
+            for cell, delta in adds:
+                diffs[cell] -= delta
+            if first_only and found:
+                return
+
+    if budget >= 0:
+        place(0, s, 0, s)
+    if first_only:
+        return found
+    # div[c][div[0][t]] is c t.
+    return sorted({tuple(a[row[t]] for row in div) for a in found for t in div[0]})
+
+
+def _coset_automaton(vectors, d: int, s: int) -> list[int]:
+    """step[q * d + c]: the state after adding an element of coset c in state
+    q, or -1 when no vector lies above.  A state is a count vector below some
+    vector given; state 0 is the empty set."""
+    radix = [(s + 2) ** c for c in range(d)]  # a digit never carries
+    below = {sum(map(operator.mul, a, radix)) for a in vectors}
+    stack = list(below)
+    while stack:
+        code = stack.pop()
+        for r in radix:
+            if code // r % (s + 2) and code - r not in below:
+                below.add(code - r)
+                stack.append(code - r)
+    codes = sorted(below)
+    index = {code: q for q, code in enumerate(codes)}
+    return [index.get(code + r, -1) for code in codes for r in radix]
+
+
+def _coset_rule(group: Group, s: int, slack: int) -> tuple:
+    """(d, the coset of each element, step) for the finest quotient, which prunes;
+    or for the first with no feasible vector, which decides the search, with step
+    None.  d is None when only G/G applies and it does not decide."""
+    budget = slack - len(group.involutions())
+    finest = None
+    for d, coset, div, need in _quotients(group, s):
+        if not _count_vectors(div, need, s, budget, first_only=True):
+            return d, coset, None
+        finest = d, coset, div, need
+    d, coset, div, need = finest
+    step = _coset_automaton(_count_vectors(div, need, s, budget), d, s)
+    return (d if d > 1 else None), coset, step
+
+
 def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
     t0 = time.monotonic()
     group = config.group
     n, s = group.order, config.size
     slack = s * (s - 1) - (n - 1)
-    involutions = len(group.involutions()) if config.prune else 0
-    # Each covered involution costs at least 1 excess: past the slack, no set covers.
-    todo = [] if involutions > slack else list(range(1, config.partitions + 1))
+    if config.prune:
+        quotient_index, coset, step = _coset_rule(group, s, slack)
+    else:  # the one coset G counts the elements and prunes nothing
+        quotient_index, coset, step = None, [0] * n, _coset_automaton([(s,)], 1, s)
+    todo = [] if step is None else list(range(1, config.partitions + 1))
 
     raw_finds: list[tuple[int, ...]] = []
-    # Examined, pruned and orbit-pruned nodes, indexed by the candidate's size.
-    totals = [[0] * (s + 1) for _ in range(3)]
+    # Examined, pruned, orbit- and coset-pruned nodes, indexed by the candidate's size.
+    totals = [[0] * (s + 1) for _ in range(4)]
     maps: list = [range(n)]        # the automorphisms, or the identity alone
     fan_out = None                 # the first unit handed to the pool
 
@@ -278,8 +438,9 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
             auts = list(itertools.islice(automorphisms(group), cap + 1))
             if len(auts) <= cap:
                 maps, orbit = auts, _orbit_table(dt, auts)
+        involutions = len(group.involutions()) if config.prune else 0
         state = (table, tuple(group.inv), n, s, slack, config.prune, stop_on_find,
-                 config.require_inverse_covering, involutions, orbit)
+                 config.require_inverse_covering, involutions, orbit, coset, max(coset) + 1, step)
         # Search inline until FAN_OUT_NODES nodes, then hand the rest of the
         # current partition and every later one to the pool.
         _set_state(state)
@@ -336,6 +497,8 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
         examined_by_depth=tuple(totals[0]),
         pruned_by_depth=tuple(totals[1]),
         orbit_pruned_by_depth=tuple(totals[2]),
+        coset_pruned_by_depth=tuple(totals[3]),
+        quotient_index=quotient_index,
         fan_out=fan_out,
     )
 

@@ -6,6 +6,7 @@ import itertools
 import json
 import multiprocessing
 import multiprocessing.pool
+import operator
 import random
 
 import pytest
@@ -512,3 +513,200 @@ def test_fan_out_reaches_the_json_payload(monkeypatch, capsys):
     monkeypatch.setattr(search, "FAN_OUT_NODES", 0)
     assert main(argv + ["2"]) == 0
     assert json.loads(capsys.readouterr().out)["payload"]["fan_out"] == [1, 3]
+
+
+# --- coset-count bound ------------------------------------------------------
+
+
+def count_vector(coset, elems):
+    counts = [0] * (max(coset) + 1)
+    for x in elems:
+        counts[coset[x]] += 1
+    return tuple(counts)
+
+
+def quotient_table(group, coset):
+    """The quotient's multiplication and inverses, read through one element per coset."""
+    reps = {}
+    for x in range(group.order):
+        reps.setdefault(coset[x], x)
+    d = len(reps)
+    mul = [[coset[group.mul[reps[b]][reps[c]]] for c in range(d)] for b in range(d)]
+    for x in range(group.order):  # the coset of a product depends on the cosets alone
+        for y in range(group.order):
+            assert coset[group.mul[x][y]] == mul[coset[x]][coset[y]]
+    return mul, [row.index(0) for row in mul]
+
+
+def brute_feasible(group, coset, s):
+    """Every count vector over the cosets that meets N_c >= |K| + inv(c), less 1 in K."""
+    mul, inv = quotient_table(group, coset)
+    d, size = len(mul), group.order // len(mul)
+    need = [size - (c == 0) for c in range(d)]
+    for u in group.involutions():
+        need[coset[u]] += 1
+    feasible = []
+    for vec in itertools.product(range(s + 1), repeat=d):
+        if sum(vec) != s:
+            continue
+        diffs = [sum(vec[b] * vec[mul[inv[c]][b]] for b in range(d)) for c in range(d)]
+        diffs[0] -= s
+        if all(x >= y for x, y in zip(diffs, need)):
+            feasible.append(vec)
+    return feasible
+
+
+def automaton_states(step, d):
+    """The count vector of every state reached from state 0, by breadth-first search."""
+    states, queue = {0: (0,) * d}, [0]
+    for q in queue:
+        for c in range(d):
+            r = step[q * d + c]
+            if r >= 0:
+                vec = list(states[q])
+                vec[c] += 1
+                assert states.setdefault(r, tuple(vec)) == tuple(vec)
+                if r not in queue:
+                    queue.append(r)
+    assert len(states) * d == len(step)  # every state is reachable
+    return states
+
+
+SMALL_QUOTIENTS = [
+    build_cyclic(2), build_cyclic(3), build_cyclic(4),
+    build_direct_product(build_cyclic(2), build_cyclic(2)), build_semidirect(3, 2, 2),
+]
+
+
+@pytest.mark.parametrize("quotient", SMALL_QUOTIENTS, ids=[q.name for q in SMALL_QUOTIENTS])
+@pytest.mark.parametrize("kernel", [2, 3])
+def test_coset_automaton_is_the_feasible_down_set(quotient, kernel, monkeypatch):
+    # G = Q x Z_kernel has the normal subgroup 1 x Z_kernel with quotient Q;
+    # the automaton's states must be the vectors below a feasible full vector.
+    monkeypatch.setattr(search, "QUOTIENT_VECTORS", 10**6)
+    group = build_direct_product(quotient, build_cyclic(kernel))
+    d = quotient.order
+    for s in range(2, min(group.order, 7) + 1):
+        slack = s * (s - 1) - (group.order - 1)
+        budget = slack - len(group.involutions())
+        matches = [q for q in search._quotients(group, s)
+                   if q[0] == d and all(q[1][x] == q[1][x - x % kernel] for x in range(group.order))]
+        assert len(matches) == 1
+        _, coset, div, need = matches[0]
+        feasible = brute_feasible(group, coset, s)
+        assert search._count_vectors(div, need, s, budget) == feasible
+        assert bool(search._count_vectors(div, need, s, budget, first_only=True)) == bool(feasible)
+        if not feasible:
+            continue
+        below = {vec for vec in itertools.product(range(s + 1), repeat=d)
+                 if sum(vec) <= s and any(all(map(operator.le, vec, top)) for top in feasible)}
+        states = automaton_states(search._coset_automaton(feasible, d, s), d)
+        assert set(states.values()) == below
+
+
+COSET_GROUPS = ORACLE_GROUPS + SYMMETRY_GROUPS
+
+
+@pytest.mark.parametrize("group", COSET_GROUPS, ids=[g.name for g in COSET_GROUPS])
+def test_covering_sets_have_feasible_count_vectors(group, monkeypatch):
+    # Soundness of the bound itself: a covering set meets it in every quotient.
+    monkeypatch.setattr(search, "QUOTIENT_VECTORS", 10**6)
+    for s in symmetry_sizes(group):
+        slack = s * (s - 1) - (group.order - 1)
+        budget = slack - len(group.involutions())
+        covering = canonical_covering_sets(group, s)
+        for d, coset, div, need in search._quotients(group, s):
+            assert group.order % d == 0 and coset[0] == 0
+            quotient_table(group, coset)
+            feasible = set(search._count_vectors(div, need, s, budget))
+            assert {count_vector(coset, e) for e in covering} <= feasible
+
+
+@pytest.mark.parametrize("cap", [0, 3000, 10**6])
+@pytest.mark.parametrize("group", COSET_GROUPS, ids=[g.name for g in COSET_GROUPS])
+def test_coset_bound_matches_brute_force_and_the_plain_search(group, cap, monkeypatch):
+    # cap 0 leaves G/G alone; 10**6 lets quotients of every index prune.
+    monkeypatch.setattr(search, "QUOTIENT_VECTORS", cap)
+    for s in symmetry_sizes(group):
+        want = canonical_covering_sets(group, s)
+        plain = enumerate_covering_sets(SearchConfig(group, s, prune=False, worker_count=1))
+        assert [f.elements for f in plain.found] == want
+        assert plain.quotient_index is None and not any(plain.coset_pruned_by_depth)
+        out = enumerate_covering_sets(SearchConfig(group, s, worker_count=1))
+        assert [f.elements for f in out.found] == want and out.exhausted
+        assert all(c <= p for c, p in zip(out.coset_pruned_by_depth, out.pruned_by_depth))
+        assert out.quotient_index is None or group.order % out.quotient_index == 0
+        if out.candidates_examined == 0:
+            assert not want and out.quotient_index is not None
+        witness = exists_covering_set(SearchConfig(group, s, worker_count=1))
+        assert [f.elements for f in witness.found] == want[:1]
+
+
+COSET_CASES = [
+    (build_cyclic(16), 5), (build_cyclic(21), 5), (build_cyclic(24), 6),
+    (build_direct_product(build_cyclic(2), build_cyclic(8)), 5),
+    (build_direct_product(build_cyclic(3), build_cyclic(6)), 5),
+    (build_semidirect(7, 3, 2), 5), (build_semidirect(5, 4, 2), 5), (build_semidirect(3, 4, 2), 4),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(COSET_CASES), st.randoms(use_true_random=False),
+       st.sampled_from([0, 3000, 10**6]))
+def test_coset_bound_under_random_relabelings(case, rng, cap):
+    group, size = case
+    loaded = relabeled(group, rng)
+    plain = enumerate_covering_sets(SearchConfig(loaded, size, prune=False, worker_count=1))
+    old_cap = search.QUOTIENT_VECTORS
+    search.QUOTIENT_VECTORS = cap
+    try:
+        out = enumerate_covering_sets(SearchConfig(loaded, size, worker_count=1))
+        witness = exists_covering_set(SearchConfig(loaded, size, worker_count=1))
+    finally:
+        search.QUOTIENT_VECTORS = old_cap
+    assert [f.elements for f in out.found] == [f.elements for f in plain.found]
+    assert [f.elements for f in witness.found] == [f.elements for f in plain.found][:1]
+
+
+@pytest.mark.parametrize(
+    "spec,size,index",
+    [("cyclic:42", 7, 2), ("cyclic:52", 8, 4), ("cyclic:56", 8, 2), ("cyclic:111", 11, 3),
+     ("product:cyclic:2,cyclic:20", 7, 2), ("semidirect:21,2,20", 7, 1)],
+)
+def test_coset_bound_decides_at_the_root(spec, size, index, monkeypatch):
+    # No cyclic (111, 11, 1) difference set: its index-3 quotient has no
+    # count vector (sum a_c = 11 with sum a_c^2 = 47 has no solution).
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search went past the root")
+
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(search, "automorphisms", refuse)
+    for run in (exists_covering_set, enumerate_covering_sets):
+        out = run(SearchConfig(parse_group_spec(spec), size, worker_count=2))
+        assert not out.found and out.exhausted and out.candidates_examined == 0
+        assert out.quotient_index == index
+
+
+def test_without_quotients_the_search_is_unchanged(monkeypatch):
+    full = enumerate_covering_sets(SearchConfig(build_cyclic(39), 7, worker_count=1))
+    assert full.quotient_index == 3 and sum(full.coset_pruned_by_depth) > 0
+    monkeypatch.setattr(search, "QUOTIENT_VECTORS", 0)
+    bare = enumerate_covering_sets(SearchConfig(build_cyclic(39), 7, worker_count=1))
+    assert [f.elements for f in bare.found] == [f.elements for f in full.found]
+    assert bare.quotient_index is None and not any(bare.coset_pruned_by_depth)
+    assert bare.candidates_examined > full.candidates_examined
+
+
+def test_coset_counts_reach_the_outputs(capsys):
+    from bigraphds.cli import main
+
+    argv = ["search", "--group", "cyclic:21", "--size", "5", "--workers", "1"]
+    assert main(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    coset = sum(payload["coset_pruned_by_depth"])
+    assert payload["quotient_index"] == 7 and coset > 0
+    assert main(argv) == 0
+    assert f"(coset bound {coset})" in capsys.readouterr().out
+    assert main(["search", "--group", "cyclic:42", "--size", "7", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["quotient_index"] == 2 and payload["candidates_examined"] == 0
