@@ -167,11 +167,13 @@ def format_cayley_table(g: Group) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _find_latin_violation(mul: Sequence[Sequence[int]]) -> tuple[int, int] | None:
+def _find_latin_violation(mul: Sequence[Sequence[int]], rows_only: bool = False) -> tuple[int, int] | None:
     """First cell that repeats a value earlier in its row; failing that, in its column."""
     for i, row in enumerate(mul):
         if len(set(row)) < len(row):
             return (i, next(j for j, v in enumerate(row) if v in row[:j]))
+    if rows_only:
+        return None
     for j, col in enumerate(zip(*mul)):
         if len(set(col)) < len(col):
             return (next(i for i, v in enumerate(col) if v in col[:i]), j)
@@ -264,7 +266,11 @@ def _find_identity(mul: Sequence[tuple[int, ...]]) -> int | None:
 
 
 def parse_cayley_table(text: str, name: str = "loaded") -> Group:
-    """Parse and fully validate a Cayley table; relabel so the identity is 0."""
+    """Parse and fully validate a Cayley table; relabel so the identity is 0.
+
+    Columns are scanned only if the identity or Light's test fails: Latin rows give each
+    x a right inverse, so with a two-sided identity and associativity the table is a group,
+    whose columns are Latin.  On failure the scan runs first, so the error is unchanged."""
     # Data lines are split one at a time, so only one row of tokens is alive.
     lines = [s for line in text.splitlines() if (s := line.strip()) and not s.startswith("#")]
     if not lines:
@@ -293,15 +299,17 @@ def parse_cayley_table(text: str, name: str = "loaded") -> Group:
                 raise ValidationError(f"row {i}, column {j}: entry {v} out of range 0..{n - 1}")
         mul.append(tuple(map(int, row)))
 
-    cell = _find_latin_violation(mul)
+    cell = _find_latin_violation(mul, rows_only=True)
+    e = _find_identity(mul) if cell is None else None
+    triple = _find_associativity_violation(mul) if e is not None else None
+    if cell is None and (e is None or triple is not None):
+        cell = _find_latin_violation(mul)
     if cell is not None:
         raise ValidationError(
             f"not a Latin square: duplicate value in row/column at cell ({cell[0]}, {cell[1]})"
         )
-    e = _find_identity(mul)
     if e is None:
         raise ValidationError("table has no two-sided identity element")
-    triple = _find_associativity_violation(mul)
     if triple is not None:
         i, j, k = triple
         raise ValidationError(f"not associative: ({i}*{j})*{k} != {i}*({j}*{k})")
@@ -322,14 +330,15 @@ def parse_cayley_table(text: str, name: str = "loaded") -> Group:
 def load_cayley_table(path: str | Path) -> Group:
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read Cayley table {p}: {exc}") from exc
     return parse_cayley_table(text, name=p.stem)
 
 
 def validate_group(g: Group) -> GroupReport:
-    """Re-check every Group axiom from the raw table and summarize structure."""
+    """Re-check every Group axiom from the raw table and summarize structure.  Columns are
+    scanned only if the identity or associativity check fails, as in parse_cayley_table."""
     axioms: dict[str, bool] = {}
     first_failure: str | None = None
 
@@ -339,11 +348,13 @@ def validate_group(g: Group) -> GroupReport:
         if not ok and first_failure is None:
             first_failure = detail
 
-    cell = _find_latin_violation(g.mul)
-    record("latin_square", cell is None, f"duplicate at cell {cell}" if cell else "")
+    cell = _find_latin_violation(g.mul, rows_only=True)
     ident_ok = g.order > 0 and all(g.mul[0][x] == x and g.mul[x][0] == x for x in range(g.order))
-    record("identity", ident_ok, "index 0 is not a two-sided identity")
     triple = _find_associativity_violation(g.mul)
+    if cell is None and not (ident_ok and triple is None):
+        cell = _find_latin_violation(g.mul)
+    record("latin_square", cell is None, f"duplicate at cell {cell}" if cell else "")
+    record("identity", ident_ok, "index 0 is not a two-sided identity")
     record("associativity", triple is None, f"violated at triple {triple}" if triple else "")
     inv_ok = all(g.mul[x][g.inv[x]] == 0 and g.mul[g.inv[x]][x] == 0 for x in range(g.order))
     record("inverses", inv_ok, "inv table does not give two-sided inverses")

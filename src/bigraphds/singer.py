@@ -10,9 +10,11 @@ perfect difference set in Z_n.
 GF(q) is held as addition, multiplication and subtraction tables on the
 indices 0..q-1: residues for a prime q, and for q = p^k the base-p digits
 (constant term first) of a polynomial modulo the lexicographically least
-primitive polynomial of degree k over GF(p).  Polynomials over such a field
-are tuples of indices with the constant term first, and an element of the
-quotient ring F[x]/(f) is the tuple of its deg f coefficients.
+primitive polynomial of degree k over GF(p), which is searched only over the
+constant terms that pass the norm condition (see find_primitive_poly).
+Polynomials over such a field are tuples of indices with the constant term
+first, and an element of the quotient ring F[x]/(f) is the tuple of its deg f
+coefficients.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 from .diffsets import PERFECT, CandidateSet, SetClassification, classify_set
 from .errors import CapacityError, InternalError, ValidationError
-from .groups import MAX_ORDER, build_cyclic
+from .groups import MAX_ORDER, build_cyclic, build_direct_product
 
 # (add, mul, sub) tables of a finite field on the indices 0..q-1.
 Field = tuple[tuple[tuple[int, ...], ...], ...]
@@ -132,11 +134,17 @@ def is_primitive(field: Field, poly) -> bool:
 
 
 def find_primitive_poly(field: Field, degree: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic primitive polynomial of the degree."""
-    for coeffs in itertools.product(range(len(field[0])), repeat=degree):
-        poly = (*coeffs, 1)
-        if is_primitive(field, poly):
-            return poly
+    """Lexicographically smallest monic primitive polynomial of the degree.  By the norm
+    condition (Lidl & Niederreiter, *Finite Fields*, ch. 3) x^((q^k-1)/(q-1)) = (-1)^k f0
+    must generate GF(q)* for x to be primitive, so no other constant term f0 is tried."""
+    q, mul, neg = len(field[0]), field[1], field[2][0]
+    for f0 in range(1, q):
+        norm = neg[f0] if degree % 2 else f0
+        # 1, norm, ..., norm^(q-1) take q-1 values exactly when norm generates GF(q)*
+        if len(set(itertools.accumulate(range(q - 1), lambda x, _: mul[x][norm], initial=1))) == q - 1:
+            for rest in itertools.product(range(q), repeat=degree - 1):
+                if is_primitive(field, poly := (f0, *rest, 1)):
+                    return poly
     raise InternalError(f"no primitive polynomial of degree {degree} over GF({len(field[0])})")
 
 
@@ -165,14 +173,14 @@ def build_field(q: int) -> Field:
         exp.append(index[elem])
         elem = mul_mod(prime, elem, x, modulus)
     log = {e: i for i, e in enumerate(exp)}
-
-    def digitwise(op):
-        return lambda a, b: index[tuple(op[u][v] for u, v in zip(digits[a], digits[b]))]
-
+    # the additive group is Z_p^k, and its digit encoding is build_direct_product's, top digit first
+    additive = build_cyclic(p)
+    for _ in range(k - 1):
+        additive = build_direct_product(build_cyclic(p), additive)
     return (
-        table(digitwise(prime[0]), q),
+        additive.mul,
         table(lambda a, b: exp[(log[a] + log[b]) % (q - 1)] if a and b else 0, q),
-        table(digitwise(prime[2]), q),
+        tuple(tuple(map(row.__getitem__, additive.inv)) for row in additive.mul),
     )
 
 

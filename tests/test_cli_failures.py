@@ -13,6 +13,7 @@ from bigraphds import bigraph, bounds, ledger, search
 from bigraphds.cli import main
 from bigraphds.diffsets import NON_COVERING
 from bigraphds.errors import InternalError
+from bigraphds.groups import build_semidirect, format_cayley_table
 
 
 def test_sweep_exits_with_first_error_row_code(capsys):
@@ -226,3 +227,25 @@ def test_graph_out_to_an_unwritable_path_is_a_usage_error(where, tmp_path, capsy
     assert envelope["error"]["message"].startswith(f"cannot write {out}: ")
     assert set(envelope) == {"command", "error", "exit_code", "wall_time_ms"}
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("text", [
+    format_cayley_table(build_semidirect(7, 3, 2)),
+    "3\n0 1 2\n1 2 0\n2 1 0\n",     # rows Latin, column 1 repeats
+    "2\n0 1\n1\n",
+], ids=["group", "not-latin", "short-row"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_a_table_file_with_a_byte_order_mark_validates_like_the_plain_file(text, as_json, tmp_path, capsys):
+    outcomes = []
+    for encoding in ("utf-8", "utf-8-sig"):     # utf-8-sig writes the BOM
+        path = tmp_path / encoding / "table.tbl"
+        path.parent.mkdir()
+        path.write_text(text, encoding=encoding)
+        code = main(["validate-group", "--group", f"file:{path}", *(["--json"] if as_json else [])])
+        out, err = capsys.readouterr()
+        if as_json:
+            out = {k: v for k, v in json.loads(out).items() if k != "wall_time_ms"}
+        outcomes.append((code, out, err.replace(str(path), "PATH")))
+    assert (tmp_path / "utf-8-sig" / "table.tbl").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (0 if text.startswith("#") else 3)

@@ -720,3 +720,78 @@ def test_product_and_semidirect_tables_match_the_per_cell_formulas():
     for m, n, k in [(1, 1, 1), (1, 5, 1), (5, 1, 1), (7, 3, 2), (5, 8, 2), (20, 2, 19),
                     (21, 2, 20), (101, 5, 36), (1, 40, 1)]:
         assert build_semidirect(m, n, k).mul == semidirect_cells(m, n, k), (m, n, k)
+
+
+# --- the column scan runs only when the identity or Light's test fails: the
+# reader and validate_group against the old order (full Latin scan, identity,
+# Light's test), which the oracles above keep -------------------------------
+
+
+def assert_same_verdicts_as_the_full_scan_first(table):
+    assert_readers_agree(table_text(table))
+    n = len(table)
+    g = Group(n, tuple(map(tuple, table)), tuple(range(n)), False, (1,) * n, "t")
+    assert repr(validate_group(g)) == repr(oracle_validate_group(g))
+
+
+def test_column_shortcut_on_every_row_latin_table_of_order_at_most_3():
+    for n in (1, 2, 3):
+        for rows in itertools.product(itertools.permutations(range(n)), repeat=n):
+            assert_same_verdicts_as_the_full_scan_first(rows)
+
+
+def test_latin_rows_with_an_identity_and_a_repeated_column_are_not_a_latin_square():
+    rows = [list(r) for r in build_cyclic(5).mul]
+    rows[2][1], rows[2][3] = rows[2][3], rows[2][1]     # row 2 stays a permutation
+    assert groups._find_latin_violation(rows, rows_only=True) is None
+    assert groups._find_identity(tuple(map(tuple, rows))) == 0
+    with pytest.raises(ValidationError, match=re.escape("Latin square: duplicate value in row/column "
+                                                        "at cell (4, 1)")):
+        parse_cayley_table(table_text(rows))
+    report = validate_group(Group(5, tuple(map(tuple, rows)), (0, 4, 3, 2, 1), True, (1, 5, 5, 5, 5), "t"))
+    assert report.axioms == {"latin_square": False, "identity": True, "associativity": False,
+                             "inverses": False}
+    assert report.first_failure == "duplicate at cell (4, 1)"
+    assert_same_verdicts_as_the_full_scan_first(rows)
+
+
+ORDERS_4_TO_8 = [g for g in small_group_zoo() + [
+    build_cyclic(4), build_direct_product(build_cyclic(2), build_cyclic(2)), build_cyclic(5),
+    build_cyclic(6), build_cyclic(8), build_direct_product(build_cyclic(2), build_cyclic(4)),
+    parse_group_spec("product:product:cyclic:2,cyclic:2,cyclic:2"), build_semidirect(4, 2, 3),
+] if 4 <= g.order <= 8]
+
+
+@st.composite
+def broken_group_tables(draw):
+    """A group table of order 4-8 with its rows kept Latin, then one of: two cells of a row
+    swapped (a column-only duplicate), the rows permuted (an identity that is lost or moved),
+    or an intercalate swapped; and a random relabeling."""
+    g = draw(st.sampled_from(ORDERS_4_TO_8))
+    n, rows = g.order, [list(r) for r in g.mul]
+    kind = draw(st.sampled_from(["row-swap", "row-permutation", "intercalate", "none"]))
+    if kind == "row-swap":
+        r = draw(st.integers(0, n - 1))
+        j, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[r][j], rows[r][k] = rows[r][k], rows[r][j]
+    elif kind == "row-permutation":
+        rows = [rows[i] for i in draw(st.permutations(range(n)))]
+    elif kind == "intercalate" and g.involutions():
+        t = draw(st.sampled_from(g.involutions()))
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        xt, ty = g.mul[x][t], g.mul[t][y]
+        rows[x][y], rows[x][ty] = rows[x][ty], rows[x][y]
+        rows[xt][y], rows[xt][ty] = rows[xt][ty], rows[xt][y]
+    perm = draw(st.permutations(range(n)))
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            table[perm[i]][perm[j]] = perm[rows[i][j]]
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(broken_group_tables())
+def test_column_shortcut_matches_the_full_scan_first_on_broken_group_tables(table):
+    assert all(len(set(row)) == len(row) for row in table)
+    assert_same_verdicts_as_the_full_scan_first(table)
