@@ -16,8 +16,6 @@ import time
 from . import bigraph, bounds, diffsets, groups, ledger, search, singer
 from .errors import BigraphdsError, UsageError
 
-_WORKERS_ENV = "BIGRAPHDS_WORKERS"
-
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
@@ -25,15 +23,11 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _workers(args) -> int:
-    """``--workers``, else ``$BIGRAPHDS_WORKERS``, else the CPU count; each must be >= 1."""
-    if args.workers is not None:
-        _require(args.workers >= 1, f"--workers must be >= 1, got {args.workers}")
-        return args.workers
-    env = os.environ.get(_WORKERS_ENV)
-    if not env:
+    """``--workers``, which must be >= 1, else the CPU count."""
+    if args.workers is None:
         return os.cpu_count() or 1
-    _require(env.isdecimal() and int(env) >= 1, f"${_WORKERS_ENV} must be an integer >= 1, got {env!r}")
-    return int(env)
+    _require(args.workers >= 1, f"--workers must be >= 1, got {args.workers}")
+    return args.workers
 
 
 # Payload keys that differ from the names of the dataclass fields they hold.
@@ -181,7 +175,6 @@ def _cmd_search(args) -> tuple[dict, str, int]:
         group=groups.parse_group_spec(args.group),
         size=args.size,
         require_inverse_covering=args.require_inverse_covering,
-        prune=not args.no_prune,
         worker_count=workers,
     )
     run = search.exists_covering_set if args.exists_only else search.enumerate_covering_sets
@@ -306,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int,
                    help="keep the first N sets; the search still runs to the end")
     p.add_argument("--workers", type=int)
-    p.add_argument("--no-prune", action="store_true")
     add_json(p)
 
     p = sub.add_parser("sweep", help="exists-search over a family of groups")

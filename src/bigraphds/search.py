@@ -38,8 +38,7 @@ so it prunes partial sets.  The enumeration expands each find S into its
 canonical images phi(S t^-1), t in S, deduplicated and sorted.  The least
 canonical covering set is least in its orbit, so it survives and is the
 first find, where the existence search stops.  Past AUTOMORPHISM_CELLS / n
-automorphisms a search expands by translations only.  prune=False runs the
-plain search with none of the rules.
+automorphisms a search expands by translations only.
 
 Work is partitioned by the third element: partition K holds the anchored
 sets whose third element is K + 1, for K = 1..n-s+1 (for size 2 the only
@@ -68,7 +67,6 @@ class SearchConfig:
     group: Group
     size: int
     require_inverse_covering: bool = False
-    prune: bool = True
     worker_count: int = 1
 
     def __post_init__(self) -> None:
@@ -127,9 +125,9 @@ class SweepRow:
 
 
 # Per-process search state, installed by the searching process and the pool
-# initializer: (table, inv, n, s, slack, prune, stop_after_first, require_inverse,
-# excess0, orbit table or None, coset of each element, number of cosets, coset
-# automaton), and the pool's shared stop flag (None inline).
+# initializer: (table, inv, n, s, slack, stop_after_first, require_inverse, excess0,
+# orbit table or None, coset of each element, number of cosets, coset automaton),
+# and the pool's shared stop flag (None inline).
 _STATE: tuple | None = None
 _HALT = None
 
@@ -157,13 +155,13 @@ def _search_partition(unit: tuple[int, int], budget: int | None = None) -> tuple
     (k, first); for size 2, the set (0, 1).  A unit past k + 2 continues a
     partition, so it leaves out the counts of the forced prefix.
 
-    Returns k, the finds in lexicographic order, the examined, pruned,
+    Returns the finds in lexicographic order, the examined, pruned,
     orbit-pruned and coset-pruned counts indexed by the size of the candidate
     set, and None, or the first fourth element left once budget nodes were
     examined.
     """
     k, first = unit
-    (table, inv, n, s, slack, prune, stop_after_first, require_inverse, excess0, orbit,
+    (table, inv, n, s, slack, stop_after_first, require_inverse, excess0, orbit,
      coset, d, step) = _STATE
     halt = _HALT
     examined, pruned, orbit_pruned, coset_pruned = tallies = [[0] * (s + 1) for _ in range(4)]
@@ -184,7 +182,7 @@ def _search_partition(unit: tuple[int, int], budget: int | None = None) -> tuple
         return rest is not None
 
     if pause(first - 1):
-        return k, finds, tallies, rest
+        return finds, tallies, rest
 
     def extend(excess: int, start: int, state: int) -> bool:
         size = len(partial)
@@ -215,7 +213,7 @@ def _search_partition(unit: tuple[int, int], budget: int | None = None) -> tuple
                     exc += 1
                 counts[d2] = c + 1
                 added.append(d2)
-                if prune and exc > slack:
+                if exc > slack:
                     rejected = True
                     break
             if not rejected and orbit is not None and size > 1:
@@ -250,7 +248,7 @@ def _search_partition(unit: tuple[int, int], budget: int | None = None) -> tuple
     if first > k + 2:
         for tally in tallies:
             tally[2] = tally[3] = 0
-    return k, finds, tallies, rest
+    return finds, tallies, rest
 
 
 def _orbit_table(dt: list[list[int]], auts: list[tuple[int, ...]]) -> list[list[int]]:
@@ -318,7 +316,11 @@ def _count_vectors(div, need, s: int, budget: int, first_only: bool = False) -> 
     """The count vectors of covering s-sets: N_c >= need[c] for every coset c.
 
     The surplus, the sum of (N_c - need[c])^+, only grows as elements are
-    placed and ends at most budget.  Cosets are filled in order, coset 0 with
+    placed and ends at most budget.  The N_c count the ordered pairs of distinct
+    elements, so they sum to s(s - 1), and the need[c] sum to n - 1 + inv, inv
+    the involutions: every feasible vector has surplus exactly slack - inv, the
+    budget _coset_rule passes.  So the budget only prunes, and a negative budget
+    means no vector exists.  Cosets are filled in order, coset 0 with
     a largest count; the translates a_{c t} of a feasible vector are feasible,
     so closing under them gives every vector.  N_0 gains k(k - 1) from each
     coset, least when the rest is spread evenly and most when it is packed.
@@ -409,10 +411,7 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
     group = config.group
     n, s = group.order, config.size
     slack = s * (s - 1) - (n - 1)
-    if config.prune:
-        quotient_index, coset, step = _coset_rule(group, s, slack)
-    else:  # the one coset G counts the elements and prunes nothing
-        quotient_index, coset, step = None, [0] * n, _coset_automaton([(s,)], 1, s)
+    quotient_index, coset, step = _coset_rule(group, s, slack)
     todo = [] if step is None else list(range(1, config.partitions + 1))
 
     raw_finds: list[tuple[int, ...]] = []
@@ -422,7 +421,7 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
     fan_out = None                 # the first unit handed to the pool
 
     def consume(result: tuple) -> bool:
-        _, finds, tallies, _ = result
+        finds, tallies, _ = result
         for total, tally in zip(totals, tallies):
             total[:] = map(sum, zip(total, tally))
         raw_finds.extend(finds)
@@ -430,17 +429,15 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
 
     if todo:
         dt = [[group.mul[x][group.inv[t]] for t in range(n)] for x in range(n)]
-        table, orbit = dt, None
-        if config.prune:  # shadow cells n + u for the involutions above the diagonal
-            shadow = [d + n if group.element_orders[d] == 2 else d for d in range(n)]
-            table = [row[: t + 1] + [shadow[d] for d in row[t + 1 :]] for t, row in enumerate(dt)]
-            cap = AUTOMORPHISM_CELLS // n
-            auts = list(itertools.islice(automorphisms(group), cap + 1))
-            if len(auts) <= cap:
-                maps, orbit = auts, _orbit_table(dt, auts)
-        involutions = len(group.involutions()) if config.prune else 0
-        state = (table, tuple(group.inv), n, s, slack, config.prune, stop_on_find,
-                 config.require_inverse_covering, involutions, orbit, coset, max(coset) + 1, step)
+        # Shadow cells n + u for the involutions above the diagonal.
+        shadow = [d + n if group.element_orders[d] == 2 else d for d in range(n)]
+        table = [row[: t + 1] + [shadow[d] for d in row[t + 1 :]] for t, row in enumerate(dt)]
+        orbit, cap = None, AUTOMORPHISM_CELLS // n
+        auts = list(itertools.islice(automorphisms(group), cap + 1))
+        if len(auts) <= cap:
+            maps, orbit = auts, _orbit_table(dt, auts)
+        state = (table, tuple(group.inv), n, s, slack, stop_on_find, config.require_inverse_covering,
+                 len(group.involutions()), orbit, coset, max(coset) + 1, step)
         # Search inline until FAN_OUT_NODES nodes, then hand the rest of the
         # current partition and every later one to the pool.
         _set_state(state)
@@ -450,8 +447,8 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
             result = _search_partition((k, k + 2), budget)
             if consume(result):
                 break
-            if result[3] is not None:
-                fan_out = (k, result[3])
+            if result[2] is not None:
+                fan_out = (k, result[2])
                 break
         if fan_out:
             units = [fan_out] + [(j, j + 2) for j in todo[i + 1 :]]

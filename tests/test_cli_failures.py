@@ -26,8 +26,8 @@ def test_sweep_exits_with_first_error_row_code(capsys):
     assert [row["error_code"] for row in envelope["payload"]["results"]] == [4, None]
 
 
-@pytest.mark.parametrize("flag", [["--resume-from", "2"], ["--report-interval", "1"]],
-                         ids=["resume-from", "report-interval"])
+@pytest.mark.parametrize("flag", [["--resume-from", "2"], ["--report-interval", "1"], ["--no-prune"]],
+                         ids=["resume-from", "report-interval", "no-prune"])
 def test_removed_search_flags_are_usage_errors(flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["search", "--group", "cyclic:7", "--size", "3", *flag])
@@ -113,31 +113,6 @@ def test_non_decimal_digits_are_rejected(tmp_path, capsys):
     table.write_text("\u00b2\n0 1\n1 0\n", encoding="utf-8")
     assert main(["validate-group", "--group", f"file:{table}"]) == 3
     assert "first data line must be the order" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-1", "\u00b2"])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["search", "--group", "cyclic:7", "--size", "3"],
-        ["sweep", "--groups", "cyclic:7", "--size", "3"],
-        ["repro"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_malformed_workers_variable_is_usage_error(argv, value, monkeypatch, capsys):
-    monkeypatch.setenv("BIGRAPHDS_WORKERS", value)
-    assert main(argv) == 2
-    assert "$BIGRAPHDS_WORKERS must be an integer >= 1" in capsys.readouterr().err
-
-
-def test_workers_variable_is_read_only_where_it_is_used(monkeypatch, capsys):
-    monkeypatch.setenv("BIGRAPHDS_WORKERS", "\u00b2")
-    assert main(["bound", "--r", "3", "--s", "3"]) == 0
-    assert main(["search", "--group", "cyclic:7", "--size", "3", "--workers", "1"]) == 0
-    monkeypatch.setenv("BIGRAPHDS_WORKERS", "1")
-    assert main(["search", "--group", "cyclic:7", "--size", "3", "--json"]) == 0
-    capsys.readouterr()
 
 
 def test_singer_capacity_exits_4_before_any_field(capsys):

@@ -29,6 +29,7 @@ from bigraphds.search import (
     exists_covering_set,
     sweep_family,
 )
+from test_acceptance import canonical_covering_sets
 
 # canonical covering 3-sets worked out by hand
 Z7_PERFECT_TRIPLES = {(0, 1, 3), (0, 1, 5), (0, 2, 3), (0, 2, 6), (0, 4, 5), (0, 4, 6)}
@@ -96,10 +97,9 @@ def test_pruned_equals_unpruned_small_grid():
         for s in (2, 3, 4):
             if s > group.order:
                 continue
-            pruned = enumerate_covering_sets(SearchConfig(group, s, prune=True))
-            plain = enumerate_covering_sets(SearchConfig(group, s, prune=False))
-            assert [f.elements for f in pruned.found] == [f.elements for f in plain.found]
-            assert pruned.exhausted and plain.exhausted
+            pruned = enumerate_covering_sets(SearchConfig(group, s))
+            assert [f.elements for f in pruned.found] == canonical_covering_sets(group, s)
+            assert pruned.exhausted
 
 
 def test_canonical_results_cover_unrestricted_search():
@@ -278,20 +278,8 @@ def test_per_depth_counts_reach_the_json_payload(capsys):
 def test_pruning_safety_random(n, s):
     group = build_cyclic(n)
     s = min(s, n)
-    pruned = enumerate_covering_sets(SearchConfig(group, s, prune=True))
-    plain = enumerate_covering_sets(SearchConfig(group, s, prune=False))
-    assert [f.elements for f in pruned.found] == [f.elements for f in plain.found]
-
-
-def canonical_covering_sets(group, size):
-    """Brute force over every canonical set: the covering size-sets containing 0."""
-    n, mul, inv = group.order, group.mul, group.inv
-    out = []
-    for rest in itertools.combinations(range(1, n), size - 1):
-        elems = (0, *rest)
-        if len({mul[x][inv[y]] for x in elems for y in elems if x != y}) == n - 1:
-            out.append(elems)
-    return out
+    pruned = enumerate_covering_sets(SearchConfig(group, s))
+    assert [f.elements for f in pruned.found] == canonical_covering_sets(group, s)
 
 
 def relabeled(group, rng):
@@ -332,9 +320,8 @@ def symmetry_sizes(group):
 
 @pytest.mark.parametrize("group", SYMMETRY_GROUPS, ids=[g.name for g in SYMMETRY_GROUPS])
 def test_symmetry_rules_match_brute_force_and_the_plain_search(group):
-    # Brute force over the canonical sets and the plain anchored search
-    # (prune=False) are the oracles for both rules and the expansion by
-    # automorphisms and translates.
+    # Brute force over the canonical sets is the oracle for both rules and
+    # the expansion by automorphisms and translates.
     for s in symmetry_sizes(group):
         covering = canonical_covering_sets(group, s)
         for inverse in (False, True):
@@ -342,9 +329,6 @@ def test_symmetry_rules_match_brute_force_and_the_plain_search(group):
                 e for e in covering
                 if not inverse or classify_set(inverse_set(CandidateSet(group, e))).is_covering
             ]
-            plain = SearchConfig(group, s, require_inverse_covering=inverse, prune=False)
-            assert [f.elements for f in enumerate_covering_sets(plain).found] == want
-            assert [f.elements for f in exists_covering_set(plain).found] == want[:1]
             for workers in (1, 2):
                 config = SearchConfig(
                     group, s, require_inverse_covering=inverse, worker_count=workers
@@ -370,8 +354,7 @@ def test_symmetry_rules_under_random_relabelings(case, rng):
     group, size = case
     loaded = relabeled(group, rng)
     out = enumerate_covering_sets(SearchConfig(loaded, size))
-    plain = enumerate_covering_sets(SearchConfig(loaded, size, prune=False))
-    assert [f.elements for f in out.found] == [f.elements for f in plain.found]
+    assert [f.elements for f in out.found] == canonical_covering_sets(loaded, size)
     # The number of canonical covering sets does not depend on the labels.
     assert len(out.found) == len(enumerate_covering_sets(SearchConfig(group, size)).found)
     witness = exists_covering_set(SearchConfig(loaded, size))
@@ -629,9 +612,6 @@ def test_coset_bound_matches_brute_force_and_the_plain_search(group, cap, monkey
     monkeypatch.setattr(search, "QUOTIENT_VECTORS", cap)
     for s in symmetry_sizes(group):
         want = canonical_covering_sets(group, s)
-        plain = enumerate_covering_sets(SearchConfig(group, s, prune=False, worker_count=1))
-        assert [f.elements for f in plain.found] == want
-        assert plain.quotient_index is None and not any(plain.coset_pruned_by_depth)
         out = enumerate_covering_sets(SearchConfig(group, s, worker_count=1))
         assert [f.elements for f in out.found] == want and out.exhausted
         assert all(c <= p for c, p in zip(out.coset_pruned_by_depth, out.pruned_by_depth))
@@ -656,7 +636,7 @@ COSET_CASES = [
 def test_coset_bound_under_random_relabelings(case, rng, cap):
     group, size = case
     loaded = relabeled(group, rng)
-    plain = enumerate_covering_sets(SearchConfig(loaded, size, prune=False, worker_count=1))
+    want = canonical_covering_sets(loaded, size)
     old_cap = search.QUOTIENT_VECTORS
     search.QUOTIENT_VECTORS = cap
     try:
@@ -664,8 +644,8 @@ def test_coset_bound_under_random_relabelings(case, rng, cap):
         witness = exists_covering_set(SearchConfig(loaded, size, worker_count=1))
     finally:
         search.QUOTIENT_VECTORS = old_cap
-    assert [f.elements for f in out.found] == [f.elements for f in plain.found]
-    assert [f.elements for f in witness.found] == [f.elements for f in plain.found][:1]
+    assert [f.elements for f in out.found] == want
+    assert [f.elements for f in witness.found] == want[:1]
 
 
 @pytest.mark.parametrize(
