@@ -20,10 +20,13 @@ closures K of single elements, read off the table, up to QUOTIENT_VECTORS
 count vectors; tried by index, the first with no feasible vector ends the
 search at the root.  G/G is the involution bound: with more involutions than
 slack no set covers.  The finest quotient prunes: a partial set dies when no
-feasible vector lies above its own, one table lookup per node.  Shadow cells
-charge the involutions too: excess starts at their number, and the search's
-table sends involutions above the diagonal to cells n + u, so the first pair
-with difference u charges 0, each later one 2.
+feasible vector lies above its own, one table lookup per node.
+
+Pairs are counted by class {d, d^-1}: a pair's differences x t^-1 and t x^-1
+are inverses and land together, so at every step the count of a class is the
+multiplicity of d and of d^-1 (half of it for an involution), and each
+collision charges 2.  Excess starts at the number of involutions: each one is
+missed, or covered twice by its first pair.
 
 The search is anchored on the pair {0, 1}.  If S is covering, the element 1
 is a difference t_i t_j^-1 of S, so the right translate S t_j^-1 contains
@@ -125,9 +128,9 @@ class SweepRow:
 
 
 # Per-process search state, installed by the searching process and the pool
-# initializer: (table, inv, n, s, slack, stop_after_first, require_inverse, excess0,
-# orbit table or None, coset of each element, number of cosets, coset automaton),
-# and the pool's shared stop flag (None inline).
+# initializer: (pair classes, differences dt[x][t] = x t^-1, n, s, slack, stop_after_first,
+# require_inverse, excess0, orbit table or None, coset of each element, number of
+# cosets, coset automaton), and the pool's shared stop flag (None inline).
 _STATE: tuple | None = None
 _HALT = None
 
@@ -144,9 +147,9 @@ def _set_state(state: tuple, halt=None) -> None:
     _STATE, _HALT = state, halt
 
 
-def _inverse_is_covering(elems: tuple[int, ...], table, inv, n: int) -> bool:
-    inverse = [inv[t] for t in elems]
-    covered = {table[x][y] % n for x in inverse for y in inverse if x != y}  # n + u is u
+def _inverse_is_covering(elems: tuple[int, ...], dt, n: int) -> bool:
+    inverse = [dt[0][t] for t in elems]
+    covered = {dt[x][y] for x in inverse for y in inverse if x != y}
     return len(covered) == n - 1
 
 
@@ -161,13 +164,13 @@ def _search_partition(unit: tuple[int, int], budget: int | None = None) -> tuple
     examined.
     """
     k, first = unit
-    (table, inv, n, s, slack, stop_after_first, require_inverse, excess0, orbit,
+    (pair, dt, n, s, slack, stop_after_first, require_inverse, excess0, orbit,
      coset, d, step) = _STATE
     halt = _HALT
     examined, pruned, orbit_pruned, coset_pruned = tallies = [[0] * (s + 1) for _ in range(4)]
     finds: list[tuple[int, ...]] = []
     rest = None
-    counts = [0] * (2 * n)
+    counts = [0] * n
     partial = [0]
     # The elements tried at each of these sizes are fixed: the anchor 1, this
     # partition's third element, then the fourth elements from first on.
@@ -196,47 +199,43 @@ def _search_partition(unit: tuple[int, int], budget: int | None = None) -> tuple
             if after < 0:  # no feasible count vector lies above
                 cp += 1
                 continue
-            rowx = table[x]
+            row = pair[x]
             exc = excess
-            added = []
-            rejected = False
-            for t in partial:
-                d1 = rowx[t]
-                c = counts[d1]
-                if c:
-                    exc += 1
-                counts[d1] = c + 1
-                added.append(d1)
-                d2 = table[t][x]
-                c = counts[d2]
-                if c:
-                    exc += 1
-                counts[d2] = c + 1
-                added.append(d2)
-                if exc > slack:
-                    rejected = True
+            for t in partial:  # read only, so a rejected candidate has nothing to undo
+                if counts[row[t]]:
+                    exc += 2
+                    if exc > slack:
+                        pr += 1
+                        break
+            else:
+                exc = excess
+                for t in partial:  # two new pairs may share a class, so count again
+                    u = row[t]
+                    if counts[u]:
+                        exc += 2
+                    counts[u] += 1
+                rejected = exc > slack
+                if not rejected and orbit is not None and size > 1:
+                    # The new triples {t, t', x}, translated to {t x^-1, t' x^-1, e}.
+                    right = [dt[t][x] for t in partial]
+                    rejected = any(orbit[right[i]][right[j]] <= k
+                                   for i in range(1, size) for j in range(i))
+                    op += rejected
+                if rejected:
+                    pr += 1
+                elif size + 1 < s:
+                    partial.append(x)
+                    stop = extend(exc, x + 1, after) or (size == 3 and pause(x))
+                    partial.pop()
+                else:
+                    elems = (*partial, x)
+                    if not require_inverse or _inverse_is_covering(elems, dt, n):
+                        finds.append(elems)
+                        stop = stop_after_first
+                for t in partial:
+                    counts[row[t]] -= 1
+                if stop:
                     break
-            if not rejected and orbit is not None and size > 1:
-                # The new triples {t, t', x}, translated to {t x^-1, t' x^-1, e}.
-                right = added[1::2]
-                rejected = any(orbit[right[i]][right[j]] <= k
-                               for i in range(1, size) for j in range(i))
-                op += rejected
-            if rejected:
-                pr += 1
-            elif size + 1 < s:
-                partial.append(x)
-                stop = extend(exc, x + 1, after) or (size == 3 and pause(x))
-                partial.pop()
-            elif exc <= slack:
-                elems = (*partial, x)
-                if not require_inverse or _inverse_is_covering(elems, table, inv, n):
-                    finds.append(elems)
-                    stop = stop_after_first
-            for u in added:
-                counts[u] -= 1
-            if stop:
-                break
         # Counted per frame: a list update per node would sit in the hottest loop.
         examined[size + 1] += ex
         pruned[size + 1] += pr + cp
@@ -253,7 +252,7 @@ def _search_partition(unit: tuple[int, int], budget: int | None = None) -> tuple
 
 def _orbit_table(dt: list[list[int]], auts: list[tuple[int, ...]]) -> list[list[int]]:
     """orbit[d][u] <= K when a set holding e, d and u fails the rule in partition K:
-    the least phi(u) with phi(d) = 1, over the six orders of the triple; n + u is u."""
+    the least phi(u) with phi(d) = 1, over the six orders of the triple."""
     n, inv = len(dt), dt[0]
     least = [[n] * n for _ in range(n)]
     for phi in auts:
@@ -265,8 +264,7 @@ def _orbit_table(dt: list[list[int]], auts: list[tuple[int, ...]]) -> list[list[
         return min(least[d][u], least[u][d], least[inv[d]][ud], least[ud][inv[d]],
                    least[inv[u]][du], least[du][inv[u]])
 
-    orbit = [[cell(d, u) if d and u and d != u else n for u in range(n)] * 2 for d in range(n)]
-    return orbit * 2
+    return [[cell(d, u) if d and u and d != u else n for u in range(n)] for d in range(n)]
 
 
 def _quotients(group: Group, s: int):
@@ -429,14 +427,13 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
 
     if todo:
         dt = [[group.mul[x][group.inv[t]] for t in range(n)] for x in range(n)]
-        # Shadow cells n + u for the involutions above the diagonal.
-        shadow = [d + n if group.element_orders[d] == 2 else d for d in range(n)]
-        table = [row[: t + 1] + [shadow[d] for d in row[t + 1 :]] for t, row in enumerate(dt)]
+        # pair[x][t]: the class of x t^-1 and t x^-1, named by the lesser.
+        pair = [[min(d, group.inv[d]) for d in row] for row in dt]
         orbit, cap = None, AUTOMORPHISM_CELLS // n
         auts = list(itertools.islice(automorphisms(group), cap + 1))
         if len(auts) <= cap:
             maps, orbit = auts, _orbit_table(dt, auts)
-        state = (table, tuple(group.inv), n, s, slack, stop_on_find, config.require_inverse_covering,
+        state = (pair, dt, n, s, slack, stop_on_find, config.require_inverse_covering,
                  len(group.involutions()), orbit, coset, max(coset) + 1, step)
         # Search inline until FAN_OUT_NODES nodes, then hand the rest of the
         # current partition and every later one to the pool.
@@ -471,10 +468,13 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
     if stop_on_find:
         sets = raw_finds[:1]
     else:
-        # An anchored find S stands for its images phi(S t^-1), t in S.
-        mul, inv = group.mul, group.inv
-        images = {tuple(sorted(phi[mul[x][inv[t]]] for x in elems))
-                  for elems in raw_finds for t in elems for phi in maps}
+        # An anchored find S stands for its images phi(S t^-1), t in S:
+        # one gather of the translate S t^-1 from each automorphism.
+        mul, inv, images = group.mul, group.inv, set()
+        for elems in raw_finds:
+            for t in elems:
+                image_of = operator.itemgetter(*[mul[x][inv[t]] for x in elems])
+                images.update(map(tuple, map(sorted, map(image_of, maps))))
         sets = sorted(images)
     found = []
     for elems in sets:

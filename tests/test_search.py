@@ -690,3 +690,114 @@ def test_coset_counts_reach_the_outputs(capsys):
     assert main(["search", "--group", "cyclic:42", "--size", "7", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert payload["quotient_index"] == 2 and payload["candidates_examined"] == 0
+
+
+# Each search tree as the shadow-cell counters (see shadow_excess) gave it: the
+# number of finds, then the examined, pruned, orbit-pruned and coset-pruned
+# counts by candidate size.  Counting pairs by class must not change a node.
+GOLDEN_TREES = [
+    ("cyclic:39", 7, "enumerate", False, 168,
+     (0, 0, 33, 33, 283, 1934, 10324, 17073), (0, 0, 0, 22, 162, 994, 8284, 17069),
+     (0, 0, 0, 22, 161, 685, 662, 1), (0, 0, 0, 0, 0, 0, 1731, 7123)),
+    ("semidirect:5,8,2", 7, "enumerate", False, 560,
+     (0, 0, 34, 34, 283, 2442, 10669, 2741), (0, 0, 0, 24, 119, 1375, 10299, 2701),
+     (0, 0, 0, 24, 105, 430, 109, 0), (0, 0, 0, 0, 0, 0, 5233, 1826)),
+    ("semidirect:5,8,2", 7, "exists", True, 1,
+     (0, 0, 3, 3, 72, 901, 5325, 1330), (0, 0, 0, 0, 12, 390, 5139, 1329),
+     (0, 0, 0, 0, 0, 57, 17, 0), (0, 0, 0, 0, 0, 0, 2677, 929)),
+    ("cyclic:40", 7, "enumerate", False, 0,
+     (0, 0, 34, 34, 393, 2614, 9373, 6104), (0, 0, 0, 19, 229, 1766, 8693, 6104),
+     (0, 0, 0, 19, 201, 725, 434, 0), (0, 0, 0, 0, 0, 173, 3658, 4876)),
+    ("semidirect:13,3,3", 7, "exists", False, 0,
+     (0, 0, 33, 33, 126, 1240, 9452, 14607), (0, 0, 0, 29, 52, 426, 7871, 14607),
+     (0, 0, 0, 29, 52, 139, 142, 0), (0, 0, 0, 0, 0, 0, 1754, 5962)),
+    ("product:cyclic:3,cyclic:13", 7, "enumerate", False, 168,
+     (0, 0, 33, 33, 223, 1797, 10547, 19258), (0, 0, 0, 23, 73, 548, 7901, 19246),
+     (0, 0, 0, 23, 70, 262, 236, 0), (0, 0, 0, 0, 0, 48, 977, 7035)),
+    ("cyclic:57", 8, "exists", False, 1,
+     (0, 0, 2, 2, 10, 280, 4099, 13534, 2577), (0, 0, 0, 1, 3, 97, 3231, 13332, 2576),
+     (0, 0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 494, 3525, 1406)),
+    ("cyclic:31", 6, "enumerate", False, 60,
+     (0, 0, 26, 26, 110, 294, 407), (0, 0, 0, 21, 84, 246, 405),
+     (0, 0, 0, 19, 47, 13, 0), (0, 0, 0, 0, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,size,mode,inverse,finds,examined,pruned,orbit,coset", GOLDEN_TREES,
+    ids=[f"{c[0]}-s{c[1]}-{c[2]}{'-inverse' if c[3] else ''}" for c in GOLDEN_TREES],
+)
+def test_search_tree_is_golden(spec, size, mode, inverse, finds, examined, pruned, orbit, coset):
+    run = enumerate_covering_sets if mode == "enumerate" else exists_covering_set
+    config = SearchConfig(parse_group_spec(spec), size, require_inverse_covering=inverse,
+                          worker_count=1)
+    out = run(config)
+    assert len(out.found) == finds
+    assert out.examined_by_depth == examined and out.pruned_by_depth == pruned
+    assert out.orbit_pruned_by_depth == orbit and out.coset_pruned_by_depth == coset
+
+
+def shadow_excess(group, elems):
+    """The oracle: the excess of an ascending set with one counter per difference,
+    t x^-1 sent to the shadow cell n + u when it is an involution u."""
+    n, mul, inv = group.order, group.mul, group.inv
+    counts = [0] * (2 * n)
+    excess = len(group.involutions())
+    for i, x in enumerate(elems):
+        for t in elems[:i]:
+            u = mul[t][inv[x]]
+            for cell in (mul[x][inv[t]], u + n * (group.element_orders[u] == 2)):
+                excess += counts[cell] > 0
+                counts[cell] += 1
+    return excess
+
+
+def path_search(group, elems, slack):
+    """Search the one path elems = (0, 1, ...) at the given slack, without the
+    orbit rule: one coset per element, with an automaton that admits only the
+    prefixes of elems.  Returns the finds and the excess-pruned counts by size."""
+    n, m = group.order, len(elems)
+    step = [q + 1 if q < m and x == elems[q] else -1 for q in range(m + 1) for x in range(n)]
+    states = []
+
+    def capture(state, halt=None):
+        states.append(state)
+        set_state(state, halt)
+
+    set_state, coset_rule, cells = search._set_state, search._coset_rule, search.AUTOMORPHISM_CELLS
+    search._set_state, search.AUTOMORPHISM_CELLS = capture, 0
+    search._coset_rule = lambda *args: (n, list(range(n)), step)
+    try:
+        enumerate_covering_sets(SearchConfig(group, m, worker_count=1))
+    finally:
+        search._set_state, search._coset_rule, search.AUTOMORPHISM_CELLS = set_state, coset_rule, cells
+    state = states[0]
+    search._set_state(state[:4] + (slack,) + state[5:])  # the slack is the fifth entry
+    finds, (_, pruned, orbit, coset), _ = search._search_partition((elems[2] - 1, elems[2] + 1))
+    assert not any(orbit)
+    return finds, [p - c for p, c in zip(pruned, coset)]
+
+
+# Groups of order 40 with 7, 21, 1 and 1 involutions; the last is Gamma1.
+PAIR_CLASS_GROUPS = {spec: parse_group_spec(spec) for spec in (
+    "product:product:cyclic:2,cyclic:2,cyclic:10", "semidirect:20,2,19", "cyclic:40",
+    "semidirect:5,8,2")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PAIR_CLASS_GROUPS)), st.randoms(use_true_random=False),
+       st.integers(min_value=3, max_value=9))
+def test_pair_class_excess_matches_the_shadow_cells(spec, rng, length):
+    # Counting pairs by class {d, d^-1} charges exactly what the shadow cells
+    # charged, after every prefix: the path is found at the oracle's excess and
+    # pruned below it, at the first prefix that reaches that excess.
+    group = PAIR_CLASS_GROUPS[spec]
+    elems = (0, 1, *sorted(rng.sample(range(2, group.order), length - 2)))
+    excess = [shadow_excess(group, elems[:j]) for j in range(length + 1)]
+    for m in range(3, length + 1):
+        prefix = elems[:m]
+        finds, rejected = path_search(group, prefix, excess[m])
+        assert finds == [prefix] and not any(rejected)
+        finds, rejected = path_search(group, prefix, excess[m] - 1)
+        first = next(j for j in range(2, m + 1) if excess[j] >= excess[m])
+        assert not finds and rejected == [int(j == first) for j in range(m + 1)]
