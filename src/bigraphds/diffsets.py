@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import UsageError, ValidationError
 from .groups import Group
@@ -92,10 +93,12 @@ def classify_profile(profile: DifferenceProfile) -> SetClassification:
     """Classification is a pure function of the profile."""
     n = len(profile.counts)
     s = profile.s
-    nonid = [(g, c) for g, c in enumerate(profile.counts) if g]  # the identity is 0
-    missing = tuple(g for g, c in nonid if c == 0)
-    repeated = tuple(g for g, c in nonid if c >= 2)
-    histogram = dict(sorted(Counter(c for _, c in nonid).items()))
+    if n < 2:
+        raise ValidationError("the trivial group has no non-identity element to cover")
+    nonid = profile.counts[1:]  # the identity is 0
+    histogram = dict(sorted(Counter(nonid).items()))
+    missing = tuple(compress(range(1, n), map((0).__eq__, nonid))) if 0 in histogram else ()
+    repeated = tuple(compress(range(1, n), map((1).__lt__, nonid)))
     if missing:
         return SetClassification(NON_COVERING, n, s, None, None, missing, repeated, histogram)
     levels = sorted(histogram)

@@ -11,7 +11,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -237,9 +237,11 @@ def _spread(mul: Sequence[Sequence[int]], gens: list[int], phi: list[int]) -> bo
     return phi.count(0) == 1  # a homomorphism with a trivial kernel
 
 
-def automorphisms(group: Group) -> Iterator[tuple[int, ...]]:
+def automorphisms(group: Group, transversal: bool = False) -> Iterator[tuple[int, ...]]:
     """Every automorphism as an image tuple, phi[x] = phi(x), generated lazily by
-    backtracking on the images of the greedy generators, in lexicographic order."""
+    backtracking on the images of the greedy generators, in lexicographic order.
+    The first generator is 1, so Stab(1) comes first; with transversal, each other
+    image c of 1 yields only its first r_c, and Aut = union of the r_c Stab(1)."""
     mul, n, orders = group.mul, group.order, group.element_orders
     gens = _greedy_generators(mul)[1:]      # without the identity
 
@@ -252,7 +254,8 @@ def automorphisms(group: Group) -> Iterator[tuple[int, ...]]:
                 image = phi[:]
                 image[gens[i]] = c
                 if _spread(mul, gens[: i + 1], image):
-                    yield from extend(i + 1, image)
+                    found = extend(i + 1, image)
+                    yield from islice(found, 1) if transversal and i == 0 and c != 1 else found
 
     return extend(0, [0] + [-1] * (n - 1))
 

@@ -38,10 +38,12 @@ goes to a left translate, whose differences are conjugates).  An anchored S
 in partition K survives only if no psi(x) = phi(x a^-1), with a, b in S and
 phi(b a^-1) = 1, sends an element of S into 2..K; triples of S decide it,
 so it prunes partial sets.  The enumeration expands each find S into its
-canonical images phi(S t^-1), t in S, deduplicated and sorted.  The least
-canonical covering set is least in its orbit, so it survives and is the
-first find, where the existence search stops.  Past AUTOMORPHISM_CELLS / n
-automorphisms a search expands by translations only.
+canonical images phi(S t^-1), t in S, deduplicated and sorted, each with S's
+verdict.  The least canonical covering set is least in its orbit, so it
+survives and is the first find, where the existence search stops.  Aut(G) is
+found as Stab(1) and one r_c per image c of 1 (Sims 1970); past
+AUTOMORPHISM_CELLS / n automorphisms, |Stab(1)| times the orbit of 1, a search
+expands by translations only.
 
 Work is partitioned by the third element: partition K holds the anchored
 sets whose third element is K + 1, for K = 1..n-s+1 (for size 2 the only
@@ -53,6 +55,7 @@ order, so output is deterministic for any worker count.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import multiprocessing
@@ -114,6 +117,8 @@ class SearchOutcome:
     quotient_index: int | None = None
     # The partition and first fourth element handed to the pool; None inline.
     fan_out: tuple[int, int] | None = None
+    # |Aut(G)| when the orbit rule ran; None past the cap or at the root.
+    automorphisms: int | None = None
 
 
 @dataclass(frozen=True)
@@ -250,21 +255,21 @@ def _search_partition(unit: tuple[int, int], budget: int | None = None) -> tuple
     return finds, tallies, rest
 
 
-def _orbit_table(dt: list[list[int]], auts: list[tuple[int, ...]]) -> list[list[int]]:
+def _orbit_table(dt: list[list[int]], stab: list, reps: list) -> list[list[int]]:
     """orbit[d][u] <= K when a set holding e, d and u fails the rule in partition K:
-    the least phi(u) with phi(d) = 1, over the six orders of the triple."""
+    the least phi(u) with phi(d) = 1, over the six orders of the triple.  Those phi
+    are psi r_d^-1, psi in Stab(1): least[d][u] = m1[r_d^-1(u)], m1[v] the least psi(v)."""
     n, inv = len(dt), dt[0]
-    least = [[n] * n for _ in range(n)]
-    for phi in auts:
-        row = least[phi.index(1)]
-        row[:] = map(min, row, phi)
-
-    def cell(d: int, u: int) -> int:
-        ud, du = dt[u][d], dt[d][u]
-        return min(least[d][u], least[u][d], least[inv[d]][ud], least[ud][inv[d]],
-                   least[inv[u]][du], least[du][inv[u]])
-
-    return [[cell(d, u) if d and u and d != u else n for u in range(n)] for d in range(n)]
+    m1 = list(map(min, zip(*stab)))
+    least: list = [(n,) * n] * n
+    for r in reps:
+        least[r[1]] = operator.itemgetter(*sorted(range(n), key=r.__getitem__))(m1)
+    orbit = [[n] * n for _ in range(n)]
+    for d, u in itertools.combinations(range(1, n), 2):  # the six orders: symmetric in d, u
+        ud, du, di, ui = dt[u][d], dt[d][u], inv[d], inv[u]
+        orbit[d][u] = orbit[u][d] = min(least[d][u], least[u][d], least[di][ud], least[ud][di],
+                                        least[ui][du], least[du][ui])
+    return orbit
 
 
 def _quotients(group: Group, s: int):
@@ -415,7 +420,8 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
     raw_finds: list[tuple[int, ...]] = []
     # Examined, pruned, orbit- and coset-pruned nodes, indexed by the candidate's size.
     totals = [[0] * (s + 1) for _ in range(4)]
-    maps: list = [range(n)]        # the automorphisms, or the identity alone
+    # Aut(G) as Stab(1) and the r_c, c in the orbit of 1, when the orbit rule runs.
+    stab, reps, orbit = [range(n)], [range(n)], None
     fan_out = None                 # the first unit handed to the pool
 
     def consume(result: tuple) -> bool:
@@ -429,10 +435,14 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
         dt = [[group.mul[x][group.inv[t]] for t in range(n)] for x in range(n)]
         # pair[x][t]: the class of x t^-1 and t x^-1, named by the lesser.
         pair = [[min(d, group.inv[d]) for d in row] for row in dt]
-        orbit, cap = None, AUTOMORPHISM_CELLS // n
-        auts = list(itertools.islice(automorphisms(group), cap + 1))
-        if len(auts) <= cap:
-            maps, orbit = auts, _orbit_table(dt, auts)
+        cap, factors = AUTOMORPHISM_CELLS // n, ([], [range(n)])
+        for phi in automorphisms(group, transversal=True):
+            factors[phi[1] != 1].append(phi)
+            if len(factors[0]) * len(factors[1]) > cap:  # |Aut| is past the cap
+                break
+        else:
+            stab, reps = factors
+            orbit = _orbit_table(dt, stab, reps)
         state = (pair, dt, n, s, slack, stop_on_find, config.require_inverse_covering,
                  len(group.involutions()), orbit, coset, max(coset) + 1, step)
         # Search inline until FAN_OUT_NODES nodes, then hand the rest of the
@@ -465,23 +475,25 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
 
     # An existence search that stopped at its witness left the rest unsearched.
     exhausted = not (stop_on_find and raw_finds)
-    if stop_on_find:
-        sets = raw_finds[:1]
-    else:
-        # An anchored find S stands for its images phi(S t^-1), t in S:
-        # one gather of the translate S t^-1 from each automorphism.
-        mul, inv, images = group.mul, group.inv, set()
-        for elems in raw_finds:
-            for t in elems:
-                image_of = operator.itemgetter(*[mul[x][inv[t]] for x in elems])
-                images.update(map(tuple, map(sorted, map(image_of, maps))))
-        sets = sorted(images)
-    found = []
-    for elems in sets:
+    # An enumeration's find S stands for its images phi(S t^-1), t in S, phi = r psi,
+    # with S's verdict: count'[phi(g)] = count[g] moves only its repeated elements.
+    expand = not stop_on_find and bool(raw_finds)
+    maps = [operator.itemgetter(*psi)(r) for r in reps for psi in stab] if expand else [range(n)]
+    mul, inv, images = group.mul, group.inv, {}
+    for elems in raw_finds if expand else raw_finds[:1]:
         cls = classify_set(CandidateSet(group, elems))
         if not cls.is_covering:
             raise InternalError(f"search reported a non-covering set {elems}")
-        found.append(FoundSet(elems, cls))
+        for t in elems if expand else (0,):
+            image_of = operator.itemgetter(*[mul[x][inv[t]] for x in elems])
+            images.update(zip(map(tuple, map(sorted, map(image_of, maps))),
+                              zip(itertools.repeat(cls), maps)))
+    found = [
+        FoundSet(elems, dataclasses.replace(
+            cls, repeated=tuple(sorted(map(phi.__getitem__, cls.repeated))),
+            histogram=dict(cls.histogram)))
+        for elems, (cls, phi) in sorted(images.items())
+    ]
     return SearchOutcome(
         group_name=group.name,
         size=s,
@@ -497,6 +509,7 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
         coset_pruned_by_depth=tuple(totals[3]),
         quotient_index=quotient_index,
         fan_out=fan_out,
+        automorphisms=len(stab) * len(reps) if orbit is not None else None,
     )
 
 

@@ -264,6 +264,15 @@ def test_classify_lists_missing_differences(capsys):
     assert out == ["[0, 1] in Z7: non-covering(7,2)", "missing: [2, 3, 4, 5]"]
 
 
+def test_classify_in_the_trivial_group_is_a_validation_error():
+    # A traceback would exit 1, the code of a failed reproduction check.
+    env = {**os.environ, "PYTHONPATH": str(Path(bigraphds.__file__).parents[1])}
+    argv = [sys.executable, "-m", "bigraphds", "classify", "--group", "cyclic:1", "--set", "0"]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 3 and out.stdout == ""
+    assert out.stderr == "error: the trivial group has no non-identity element to cover\n"
+
+
 def test_search_human_output_counts_the_sets_past_twenty(capsys):
     assert main(["search", "--group", "cyclic:11", "--size", "4"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from bigraphds.diffsets import (
     NON_COVERING,
     PERFECT,
     CandidateSet,
+    SetClassification,
     classify_profile,
     classify_set,
     difference_profile,
@@ -235,3 +238,63 @@ def test_inner_identity_factor_is_skipped():
     g = build_semidirect(5, 8, 2)
     assert parse_word(g, "b*1*a") == parse_word(g, "b*a")
     assert parse_word(g, "1*b") == parse_word(g, "b") != 0
+
+
+def per_element_classification(profile):
+    """classify_profile as first written, one element at a time: the oracle for
+    its C-level passes.  It needs an order of at least 2 (levels[0] below)."""
+    n = len(profile.counts)
+    s = profile.s
+    nonid = [(g, c) for g, c in enumerate(profile.counts) if g]  # the identity is 0
+    missing = tuple(g for g, c in nonid if c == 0)
+    repeated = tuple(g for g, c in nonid if c >= 2)
+    histogram = dict(sorted(Counter(c for _, c in nonid).items()))
+    if missing:
+        return SetClassification(NON_COVERING, n, s, None, None, missing, repeated, histogram)
+    levels = sorted(histogram)
+    if levels == [1]:
+        return SetClassification(PERFECT, n, s, 1, None, (), repeated, histogram)
+    if len(levels) == 1:
+        return SetClassification(ADS, n, s, levels[0], n - 1, (), repeated, histogram)
+    if len(levels) == 2 and levels[1] == levels[0] + 1:
+        return SetClassification(
+            ADS, n, s, levels[0], histogram[levels[0]], (), repeated, histogram
+        )
+    return SetClassification(COVERING, n, s, levels[0], None, (), repeated, histogram)
+
+
+CLASSIFY_GROUPS = [build_cyclic(n) for n in (1, 2, 3, 6, 7, 13)] + [
+    build_semidirect(3, 2, 2), build_direct_product(build_cyclic(2), build_cyclic(4)),
+]
+# Perfect, almost-difference (one level, two levels, and Gamma1's) and plain
+# covering sets; random subsets add the non-covering ones.
+KNOWN_SETS = [CandidateSet(build_cyclic(n), elems) for n, elems in (
+    (7, (0, 1, 3)), (13, (0, 1, 3, 9)), (7, (0, 1, 2, 4)), (39, (0, 1, 2, 4, 13, 18, 33)),
+    (7, (0, 1, 2, 3)), (2, (0, 1)),
+)] + [gamma1_and_published_set()[1]]
+
+
+@st.composite
+def candidate_sets(draw):
+    if draw(st.booleans()):
+        cand = draw(st.sampled_from(KNOWN_SETS))
+        group = cand.group
+        t = draw(st.integers(0, group.order - 1))
+        return CandidateSet(group, tuple(group.mul[x][t] for x in cand.elements))
+    group = draw(st.sampled_from(CLASSIFY_GROUPS))
+    return CandidateSet(group, tuple(draw(st.sets(st.integers(0, group.order - 1), min_size=1))))
+
+
+def test_known_sets_reach_every_covering_verdict():
+    assert {classify_set(cand).verdict for cand in KNOWN_SETS} == {PERFECT, ADS, COVERING}
+
+
+@settings(max_examples=150, deadline=None)
+@given(candidate_sets())
+def test_classify_profile_matches_the_per_element_version(cand):
+    profile = difference_profile(cand)
+    if cand.group.order == 1:
+        with pytest.raises(ValidationError, match="trivial group"):
+            classify_profile(profile)
+    else:
+        assert classify_profile(profile) == per_element_classification(profile)

@@ -446,6 +446,27 @@ def test_automorphism_counts(group, count):
     assert len(list(automorphisms(loaded))) == count
 
 
+@pytest.mark.parametrize(
+    "group,count", AUTOMORPHISM_COUNTS, ids=[g.name for g, _ in AUTOMORPHISM_COUNTS]
+)
+def test_transversal_factorizes_the_automorphisms(group, count):
+    # The full lexicographic listing is the oracle: the maps r psi, psi in
+    # Stab(1) and r the identity or one r_c per image c of 1, are each automorphism once.
+    for g in (group, parse_cayley_table(shuffled_table(group, count), name="relabeled")):
+        n, full = g.order, list(automorphisms(g))
+        listed = list(automorphisms(g, transversal=True))
+        if n == 1:
+            assert listed == full == [(0,)]
+            continue
+        stab = [phi for phi in listed if phi[1] == 1]
+        reps = [tuple(range(n))] + listed[len(stab):]
+        assert listed[: len(stab)] == stab == full[: len(stab)]  # the stabilizer comes first
+        orbit = [r[1] for r in reps]
+        assert len(set(orbit)) == len(orbit) and set(orbit) == {phi[1] for phi in full}
+        assert len(stab) * len(orbit) == count
+        assert {tuple(r[psi[x]] for x in range(n)) for r in reps for psi in stab} == set(full)
+
+
 # --- the table reader, Light's test and validate_group against their first,
 # per-cell versions: same Group, same report, same error text ----------------
 

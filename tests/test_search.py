@@ -17,6 +17,7 @@ from bigraphds.diffsets import PERFECT, CandidateSet, classify_set, inverse_set
 from bigraphds import search
 from bigraphds.errors import InternalError, ValidationError
 from bigraphds.groups import (
+    automorphisms,
     build_cyclic,
     build_direct_product,
     build_semidirect,
@@ -30,6 +31,7 @@ from bigraphds.search import (
     sweep_family,
 )
 from test_acceptance import canonical_covering_sets
+from test_groups import AUTOMORPHISM_COUNTS
 
 # canonical covering 3-sets worked out by hand
 Z7_PERFECT_TRIPLES = {(0, 1, 3), (0, 1, 5), (0, 2, 3), (0, 2, 6), (0, 4, 5), (0, 4, 6)}
@@ -336,6 +338,9 @@ def test_symmetry_rules_match_brute_force_and_the_plain_search(group):
                 out = enumerate_covering_sets(config)
                 assert [f.elements for f in out.found] == want and out.exhausted
                 assert sum(out.orbit_pruned_by_depth) <= out.candidates_pruned
+                # Each image inherits its find's verdict, with the repeated elements moved.
+                assert [f.classification for f in out.found] == [
+                    classify_set(CandidateSet(group, e)) for e in want]
                 witness = exists_covering_set(config)
                 assert [f.elements for f in witness.found] == want[:1]
                 assert witness.exhausted == (not want)
@@ -411,7 +416,53 @@ def test_too_many_automorphisms_leave_the_translations(monkeypatch):
     monkeypatch.setattr(search, "AUTOMORPHISM_CELLS", 15 * group.order)
     capped = enumerate_covering_sets(SearchConfig(group, 5, worker_count=1))
     assert [f.elements for f in capped.found] == [f.elements for f in full.found]
+    assert [f.classification for f in capped.found] == [f.classification for f in full.found]
     assert sum(full.orbit_pruned_by_depth) > 0 and sum(capped.orbit_pruned_by_depth) == 0
+    assert full.automorphisms == 16 and capped.automorphisms is None
+
+
+def listed_orbit_table(group):
+    """The oracle: the orbit table with its least images taken over every
+    automorphism, least[phi^-1(1)][u] the least phi(u)."""
+    n, mul, inv = group.order, group.mul, group.inv
+    dt = [[mul[x][inv[t]] for t in range(n)] for x in range(n)]
+    least = [[n] * n for _ in range(n)]
+    for phi in automorphisms(group):
+        row = least[phi.index(1)]
+        row[:] = map(min, row, phi)
+
+    def cell(d, u):
+        ud, du = dt[u][d], dt[d][u]
+        return min(least[d][u], least[u][d], least[inv[d]][ud], least[ud][inv[d]],
+                   least[inv[u]][du], least[du][inv[u]])
+
+    return dt, [[cell(d, u) if d and u and d != u else n for u in range(n)] for d in range(n)]
+
+
+FACTOR_GROUPS = SYMMETRY_GROUPS + [g for g, _ in AUTOMORPHISM_COUNTS if g.order > 1]
+
+
+@pytest.mark.parametrize("group", FACTOR_GROUPS, ids=[g.name for g in FACTOR_GROUPS])
+def test_factorized_orbit_table_and_cap_match_the_full_listing(group, monkeypatch):
+    n, count = group.order, sum(1 for _ in automorphisms(group))
+    listed = list(automorphisms(group, transversal=True))
+    stab = [phi for phi in listed if phi[1] == 1]
+    dt, table = listed_orbit_table(group)
+    assert search._orbit_table(dt, stab, [range(n)] + listed[len(stab):]) == table
+    # The whole group covers and no quotient decides it at the root.
+    for cells, want in ((count * n, count), (count * n - 1, None)):
+        monkeypatch.setattr(search, "AUTOMORPHISM_CELLS", cells)
+        assert enumerate_covering_sets(SearchConfig(group, n)).automorphisms == want
+
+
+def test_automorphism_count_reaches_the_json_payload(capsys):
+    from bigraphds.cli import main
+
+    assert main(["search", "--group", "cyclic:21", "--size", "5", "--workers", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["automorphisms"] == 12
+    # Decided at the root, so the orbit rule never ran.
+    assert main(["search", "--group", "cyclic:42", "--size", "7", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["automorphisms"] is None
 
 
 # Budgets for the forced pool: hand off before the first partition, at the
