@@ -15,7 +15,6 @@ from .bigraph import (
 from .bounds import (
     BoundReport,
     ImprovedBound,
-    ImprovementMargin,
     bound_report,
     improved_moore_bound,
     improvement_margin,

@@ -52,15 +52,6 @@ class BoundReport:
     best: int
 
 
-@dataclass(frozen=True)
-class ImprovementMargin:
-    """Exact value of multiplier*s*(s-1)/(multiplier-s+2) - (s^2-1)."""
-
-    multiplier: int
-    s: int
-    value: Fraction
-
-
 def tree_counts(r: int, s: int, half_diameter: int = 1) -> tuple[int, int]:
     """Vertex counts of the two distance trees truncated at depth d-1 = 2m.
 
@@ -119,12 +110,12 @@ def improved_moore_bound(multiplier: int, s: int) -> ImprovedBound | None:
     return ImprovedBound(multiplier, s, n1 * (multiplier + 1), n1, multiplier * n1)
 
 
-def improvement_margin(multiplier: int, s: int) -> ImprovementMargin:
-    """Margin whose positivity justifies the improved bound; exact rational."""
+def improvement_margin(multiplier: int, s: int) -> Fraction:
+    """Exact multiplier*s*(s-1)/(multiplier-s+2) - (s^2-1), whose positivity justifies the
+    improved bound."""
     if multiplier - s + 2 == 0:
         raise ValidationError(f"margin has a pole at multiplier = s - 2 (s={s})")
-    value = Fraction(multiplier * s * (s - 1), multiplier - s + 2) - (s * s - 1)
-    return ImprovementMargin(multiplier, s, value)
+    return Fraction(multiplier * s * (s - 1), multiplier - s + 2) - (s * s - 1)
 
 
 def bound_report(r: int, s: int) -> BoundReport:

@@ -65,8 +65,7 @@ def _cmd_bound(args) -> tuple[dict, str, int]:
     payload = _jsonable(rep)
     if rep.improved:
         # exact rational margin justifying the window, as a fraction string
-        margin = bounds.improvement_margin(rep.improved.multiplier, rep.s).value
-        payload["improved"]["margin"] = str(margin)
+        payload["improved"]["margin"] = str(bounds.improvement_margin(rep.improved.multiplier, rep.s))
     lines = [
         f"M({rep.r},{rep.s};{rep.d}) = {rep.moore}"
         f"  [N1'={rep.n1_raw}, N2'={rep.n2_raw}, N1={rep.n1}, N2={rep.n2}]"
@@ -89,7 +88,7 @@ def _cmd_table(args) -> tuple[dict, str, int]:
 def _cmd_singer(args) -> tuple[dict, str, int]:
     _require(args.q >= 2, f"q must be >= 2, got {args.q}")
     modulus = None
-    if args.poly:
+    if args.poly is not None:
         coeffs = args.poly.split(",")
         _require(all(map(str.isdecimal, coeffs)),
                  f"--poly must be comma-separated integers, got {args.poly!r}")

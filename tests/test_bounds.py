@@ -99,21 +99,21 @@ def test_improved_bound_window():
 
 
 def test_margin_values_and_pole():
-    assert improvement_margin(2, 3).value == Fraction(4)
+    assert improvement_margin(2, 3) == Fraction(4)
     with pytest.raises(ValidationError):
         improvement_margin(1, 3)  # the pole sits at multiplier = s - 2
-    assert improvement_margin(0, 3).value < 0
+    assert improvement_margin(0, 3) < 0
     for s in (3, 4, 5):
         upper = s * s - s - 2
-        assert improvement_margin(upper, s).value == 0
-        assert improvement_margin(upper - 1, s).value > 0
-        assert improvement_margin(upper + 1, s).value < 0
+        assert improvement_margin(upper, s) == 0
+        assert improvement_margin(upper - 1, s) > 0
+        assert improvement_margin(upper + 1, s) < 0
 
 
 def test_margin_positive_across_window():
     for s in (3, 4, 5, 6):
         for rho in range(s - 1, s * s - s - 2):
-            assert improvement_margin(rho, s).value > 0
+            assert improvement_margin(rho, s) > 0
 
 
 def test_bound_report_dispatch():

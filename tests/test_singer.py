@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 
+from bigraphds import singer
 from bigraphds.diffsets import PERFECT, CandidateSet, classify_set
 from bigraphds.errors import CapacityError, ValidationError
 from bigraphds.groups import build_cyclic
@@ -13,11 +15,7 @@ from bigraphds.singer import (
     PUBLISHED_PERFECT_SETS,
     build_field,
     find_primitive_poly,
-    has_root,
     is_primitive,
-    mul_mod,
-    pow_mod,
-    prime_factors,
     prime_power_decompose,
     singer_set,
 )
@@ -112,6 +110,76 @@ PINNED = {
         (0, 1, 20, 27, 66, 107, 208, 221, 232, 290, 299, 305, 313, 349, 457, 467, 485, 542, 587, 630, 685, 733, 804, 809, 844, 856, 860, 881, 898, 930, 960, 991),
     ),
 }
+
+
+# --- general polynomial arithmetic over a table field, the oracle of the power walk ---------
+
+
+def prime_factors(n: int) -> tuple[int, ...]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
+def mul_mod(field, a: tuple[int, ...], b: tuple[int, ...], modulus) -> tuple[int, ...]:
+    """a*b in field[x]/(modulus) for a monic modulus; a, b hold deg(modulus) coefficients."""
+    add, mul, sub = field
+    deg = len(modulus) - 1
+    prod = [0] * (2 * deg - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            row = mul[ai]
+            for j, bj in enumerate(b):
+                prod[i + j] = add[prod[i + j]][row[bj]]
+    for top in range(2 * deg - 2, deg - 1, -1):
+        if prod[top]:
+            row = mul[prod[top]]
+            for i in range(deg):
+                prod[top - deg + i] = sub[prod[top - deg + i]][row[modulus[i]]]
+    return tuple(prod[:deg])
+
+
+def pow_mod(field, a: tuple[int, ...], e: int, modulus) -> tuple[int, ...]:
+    """a^e in field[x]/(modulus) by square-and-multiply."""
+    acc = (1,) + (0,) * (len(modulus) - 2)
+    while e:
+        if e & 1:
+            acc = mul_mod(field, acc, a, modulus)
+        a = mul_mod(field, a, a, modulus)
+        e >>= 1
+    return acc
+
+
+def has_root(field, poly) -> bool:
+    add, mul, _ = field
+    for a in range(len(add)):
+        acc = 0
+        for c in reversed(poly):
+            acc = add[mul[acc][a]][c]
+        if acc == 0:
+            return True
+    return False
+
+
+def oracle_is_primitive(field, poly) -> bool:
+    """Primitivity by square-and-multiply: no root in F, x^r = 1 and x^(r/l) != 1 for each
+    prime l | r, with r = |F|^deg - 1."""
+    deg = len(poly) - 1
+    if deg < 2 or has_root(field, poly):
+        return False
+    r = len(field[0]) ** deg - 1
+    x, one = (0, 1) + (0,) * (deg - 2), (1,) + (0,) * (deg - 1)
+    if pow_mod(field, x, r, poly) != one:
+        return False
+    return all(pow_mod(field, x, r // ell, poly) != one for ell in prime_factors(r))
 
 
 def oracle_power_walk(p: int, modulus: tuple[int, ...]) -> int:
@@ -356,24 +424,12 @@ def test_published_sets_fixture():
         assert n == s * s - s + 1
 
 
-def oracle_is_primitive(field, poly) -> bool:
-    """is_primitive as first written, testing x^r = 1 at every degree."""
-    deg = len(poly) - 1
-    if deg < 2 or has_root(field, poly):
-        return False
-    r = len(field[0]) ** deg - 1
-    x, one = (0, 1) + (0,) * (deg - 2), (1,) + (0,) * (deg - 1)
-    if pow_mod(field, x, r, poly) != one:
-        return False
-    return all(pow_mod(field, x, r // ell, poly) != one for ell in prime_factors(r))
-
-
 @pytest.mark.parametrize(
     "q, degrees", [(2, (2, 3, 4)), (3, (2, 3)), (4, (2, 3)), (5, (2, 3)), (7, (2, 3)), (8, (2, 3)),
                    (9, (2, 3))], ids=lambda x: f"GF{x}" if isinstance(x, int) else None,
 )
 def test_is_primitive_equals_the_test_with_x_to_the_r(q, degrees):
-    """Skipping x^r = 1 below degree 4 changes no verdict; degree 4 still runs it."""
+    """The power walk gives square-and-multiply's verdict on every monic polynomial."""
     field = build_field(q)
     for deg in degrees:
         verdicts = set()
@@ -399,21 +455,48 @@ def oracle_walk_exponents(field, modulus) -> tuple[int, ...]:
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_shift_walk_matches_the_general_product_for_every_primitive_cubic(q):
+    """Every monic cubic as a modulus: the set exactly when the oracle says primitive, with the
+    general product's exponents, and the `not primitive` error otherwise."""
     field = build_field(q)
-    cubics = [(*c, 1) for c in itertools.product(range(q), repeat=3)]
-    primitive = [poly for poly in cubics if is_primitive(field, poly)]
+    primitive = 0
+    for coeffs in itertools.product(range(q), repeat=3):
+        poly = (*coeffs, 1)
+        if oracle_is_primitive(field, poly):
+            assert singer_set(q, poly).exponents_raw == oracle_walk_exponents(field, poly), poly
+            primitive += 1
+        else:
+            rejection = f"modulus {re.escape(str(poly))} is not primitive"
+            with pytest.raises(ValidationError, match=rejection):
+                singer_set(q, poly)
     assert primitive
-    for poly in primitive:
-        assert singer_set(q, poly).exponents_raw == oracle_walk_exponents(field, poly), poly
+
+
+def test_gf31_rejections_need_no_walk_or_the_early_return(monkeypatch):
+    """x^4 has f0 = 0, so x is no unit and is_primitive answers without walking.  x^3 + 7 is
+    irreducible and its norm -7 generates GF(31)*, so the norm filter and the root test both
+    pass it: only the walk's early return to 1 rejects it."""
+    field = build_field(31)
+    poly = (7, 0, 0, 1)
+    assert not has_root(field, poly) and norm_generates(field, 7, 3)
+    assert not oracle_is_primitive(field, poly)
+    with pytest.raises(ValidationError, match=r"modulus \(7, 0, 0, 1\) is not primitive over GF\(31\)"):
+        singer_set(31, poly)
+
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(singer, "_power_walk", no_walk)
+    assert not is_primitive(field, (0, 0, 0, 0, 1))
 
 
 # --- the norm filter of find_primitive_poly against the unfiltered scan --------
 
 
 def oracle_find_primitive_poly(field, degree):
-    """find_primitive_poly as first written: every monic polynomial in lexicographic order."""
+    """find_primitive_poly without the norm filter or the walk: every monic polynomial in
+    lexicographic order, tested by square-and-multiply."""
     for coeffs in itertools.product(range(len(field[0])), repeat=degree):
-        if is_primitive(field, poly := (*coeffs, 1)):
+        if oracle_is_primitive(field, poly := (*coeffs, 1)):
             return poly
     raise AssertionError("no primitive polynomial")
 
@@ -448,7 +531,7 @@ def test_the_norm_filter_skips_exactly_the_constant_terms_without_a_primitive_po
     for degree in (2, 3, 4):
         for f0 in range(q):
             polys = ((f0, *rest, 1) for rest in itertools.product(range(q), repeat=degree - 1))
-            has_primitive = any(is_primitive(field, poly) for poly in polys)
+            has_primitive = any(oracle_is_primitive(field, poly) for poly in polys)
             assert has_primitive == (f0 != 0 and norm_generates(field, f0, degree)), (degree, f0)
 
 
