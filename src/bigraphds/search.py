@@ -37,13 +37,14 @@ phi in Aut(G), keep covering sets and covering inverses (an inverse set
 goes to a left translate, whose differences are conjugates).  An anchored S
 in partition K survives only if no psi(x) = phi(x a^-1), with a, b in S and
 phi(b a^-1) = 1, sends an element of S into 2..K; triples of S decide it,
-so it prunes partial sets.  The enumeration expands each find S into its
-canonical images phi(S t^-1), t in S, deduplicated and sorted, each with S's
-verdict.  The least canonical covering set is least in its orbit, so it
-survives and is the first find, where the existence search stops.  Aut(G) is
-found as Stab(1) and one r_c per image c of 1 (Sims 1970); past
-AUTOMORPHISM_CELLS / n automorphisms, |Stab(1)| times the orbit of 1, a search
-expands by translations only.
+so it prunes partial sets.  The enumeration expands the first find S of each
+orbit into its canonical images phi(S t^-1), t in S, deduplicated and sorted,
+each with S's verdict: they are all the orbit's canonical members, so a later
+find of the orbit is only classified.  The least canonical covering set is
+least in its orbit, so it survives and is the first find, where the existence
+search stops.  Aut(G) is found as Stab(1) and one r_c per image c of 1 (Sims
+1970); past AUTOMORPHISM_CELLS / n automorphisms, |Stab(1)| times the orbit of
+1, a search expands by translations only.
 
 Work is partitioned by the third element: partition K holds the anchored
 sets whose third element is K + 1, for K = 1..n-s+1 (for size 2 the only
@@ -222,9 +223,11 @@ def _search_partition(unit: tuple[int, int], budget: int | None = None) -> tuple
                 rejected = exc > slack
                 if not rejected and orbit is not None and size > 1:
                     # The new triples {t, t', x}, translated to {t x^-1, t' x^-1, e}.
-                    right = [dt[t][x] for t in partial]
-                    rejected = any(orbit[right[i]][right[j]] <= k
-                                   for i in range(1, size) for j in range(i))
+                    # A plain loop: a generator frame per candidate cost a quarter of the pass.
+                    for a, b in itertools.combinations([dt[t][x] for t in partial], 2):
+                        if orbit[a][b] <= k:  # orbit is symmetric
+                            rejected = True
+                            break
                     op += rejected
                 if rejected:
                     pr += 1
@@ -432,9 +435,11 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
         return stop_on_find and bool(raw_finds)
 
     if todo:
-        dt = [[group.mul[x][group.inv[t]] for t in range(n)] for x in range(n)]
+        # One gather per row; n >= 2, so every itemgetter returns a tuple.
+        dt = list(map(operator.itemgetter(*group.inv), group.mul))
         # pair[x][t]: the class of x t^-1 and t x^-1, named by the lesser.
-        pair = [[min(d, group.inv[d]) for d in row] for row in dt]
+        classes = list(map(min, range(n), group.inv))
+        pair = [operator.itemgetter(*row)(classes) for row in dt]
         cap, factors = AUTOMORPHISM_CELLS // n, ([], [range(n)])
         for phi in automorphisms(group, transversal=True):
             factors[phi[1] != 1].append(phi)
@@ -484,6 +489,8 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
         cls = classify_set(CandidateSet(group, elems))
         if not cls.is_covering:
             raise InternalError(f"search reported a non-covering set {elems}")
+        if elems in images:  # an earlier find of its orbit wrote every image
+            continue
         for t in elems if expand else (0,):
             image_of = operator.itemgetter(*[mul[x][inv[t]] for x in elems])
             images.update(zip(map(tuple, map(sorted, map(image_of, maps))),

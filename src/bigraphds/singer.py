@@ -160,7 +160,10 @@ class SingerSet:
 def _singer_logs(field: Field, modulus) -> dict[int, int] | None:
     """alpha -> log of 1 + alpha*x for alpha != 0 if the power walk modulo the monic cubic first
     returns to 1 at step q^3 - 1, else None.  A step is _power_walk's on three locals:
-    x * (a0 + a1 x + a2 x^2) = a2 x^3 + a0 x + a1 x^2 with x^3 = -(f0 + f1 x + f2 x^2)."""
+    x * (a0 + a1 x + a2 x^2) = a2 x^3 + a0 x + a1 x^2 with x^3 = -(f0 + f1 x + f2 x^2).
+    For f0 = 0, x divides f and is no unit, so the walk could never close: None at once."""
+    if modulus[0] == 0:
+        return None
     add, mul, sub = field
     q = len(add)
     # reduce[k][c] = -c * f_k: what a top coefficient c adds to x^k

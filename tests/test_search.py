@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import multiprocessing
 import multiprocessing.pool
 import operator
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bigraphds.diffsets import PERFECT, CandidateSet, classify_set, inverse_set
+from bigraphds.diffsets import NON_COVERING, PERFECT, CandidateSet, classify_set, inverse_set
 from bigraphds import search
 from bigraphds.errors import InternalError, ValidationError
 from bigraphds.groups import (
@@ -25,6 +27,7 @@ from bigraphds.groups import (
     parse_group_spec,
 )
 from bigraphds.search import (
+    FoundSet,
     SearchConfig,
     enumerate_covering_sets,
     exists_covering_set,
@@ -320,10 +323,56 @@ def symmetry_sizes(group):
     return [s for s in (s0 - 1, s0, s0 + 1) if 2 <= s <= group.order]
 
 
+def expand_every_find(config, monkeypatch):
+    """The oracle of the per-orbit expansion: an enumeration on one worker whose
+    raw finds are each classified and expanded into their images phi(S t^-1),
+    none skipped.
+
+    Returns the outcome, the oracle's found sets, the raw finds and those whose
+    images an earlier find had already written."""
+    group, n = config.group, config.group.order
+    raw, factors = [], [[range(n)], [range(n)]]  # past the cap: translations only
+    search_partition, orbit_table = search._search_partition, search._orbit_table
+
+    def record_finds(*args):
+        result = search_partition(*args)
+        raw.extend(result[0])
+        return result
+
+    def record_factors(dt, stab, reps):
+        factors[:] = stab, reps
+        return orbit_table(dt, stab, reps)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_search_partition", record_finds)
+        patch.setattr(search, "_orbit_table", record_factors)
+        out = enumerate_covering_sets(dataclasses.replace(config, worker_count=1))
+    stab, reps = factors
+    mul, inv = group.mul, group.inv
+    maps = [operator.itemgetter(*psi)(r) for r in reps for psi in stab]
+    images, repeats = {}, []
+    for elems in raw:
+        if elems in images:
+            repeats.append(elems)
+        cls = classify_set(CandidateSet(group, elems))
+        for t in elems:
+            image_of = operator.itemgetter(*[mul[x][inv[t]] for x in elems])
+            images.update(zip(map(tuple, map(sorted, map(image_of, maps))),
+                              zip(itertools.repeat(cls), maps)))
+    found = tuple(
+        FoundSet(elems, dataclasses.replace(
+            cls, repeated=tuple(sorted(map(phi.__getitem__, cls.repeated))),
+            histogram=dict(cls.histogram)))
+        for elems, (cls, phi) in sorted(images.items())
+    )
+    return out, found, raw, repeats
+
+
 @pytest.mark.parametrize("group", SYMMETRY_GROUPS, ids=[g.name for g in SYMMETRY_GROUPS])
-def test_symmetry_rules_match_brute_force_and_the_plain_search(group):
+def test_symmetry_rules_match_brute_force_and_the_plain_search(group, monkeypatch):
     # Brute force over the canonical sets is the oracle for both rules and
-    # the expansion by automorphisms and translates.
+    # the expansion by automorphisms and translates; expanding every raw find
+    # is the oracle for expanding each orbit once.
     for s in symmetry_sizes(group):
         covering = canonical_covering_sets(group, s)
         for inverse in (False, True):
@@ -335,7 +384,11 @@ def test_symmetry_rules_match_brute_force_and_the_plain_search(group):
                 config = SearchConfig(
                     group, s, require_inverse_covering=inverse, worker_count=workers
                 )
-                out = enumerate_covering_sets(config)
+                if workers == 1:
+                    out, expanded, _, _ = expand_every_find(config, monkeypatch)
+                    assert out.found == expanded
+                else:
+                    out = enumerate_covering_sets(config)
                 assert [f.elements for f in out.found] == want and out.exhausted
                 assert sum(out.orbit_pruned_by_depth) <= out.candidates_pruned
                 # Each image inherits its find's verdict, with the repeated elements moved.
@@ -344,6 +397,36 @@ def test_symmetry_rules_match_brute_force_and_the_plain_search(group):
                 witness = exists_covering_set(config)
                 assert [f.elements for f in witness.found] == want[:1]
                 assert witness.exhausted == (not want)
+
+
+@pytest.mark.parametrize("spec,raw_finds,repeats",
+                         [("cyclic:39", 4, 3), ("semidirect:5,8,2", 40, 36)])
+def test_each_orbit_is_expanded_once_and_every_find_is_classified(spec, raw_finds, repeats,
+                                                                   monkeypatch):
+    # Z39's 4 raw finds lie in one orbit and Gamma1's 40 in 4.
+    config = SearchConfig(parse_group_spec(spec), 7, worker_count=1)
+    out, expanded, raw, repeated = expand_every_find(config, monkeypatch)
+    assert out.found == expanded
+    assert (len(raw), len(repeated)) == (raw_finds, repeats)
+    classified = []
+
+    def record(cand):
+        classified.append(cand.elements)
+        return classify_set(cand)
+
+    monkeypatch.setattr(search, "classify_set", record)
+    assert enumerate_covering_sets(config).found == out.found
+    assert classified == raw
+
+    # A find whose orbit was already expanded still has its verdict checked.
+    def refute_last_repeat(cand):
+        cls = classify_set(cand)
+        refuted = dataclasses.replace(cls, verdict=NON_COVERING)
+        return refuted if cand.elements == repeated[-1] else cls
+
+    monkeypatch.setattr(search, "classify_set", refute_last_repeat)
+    with pytest.raises(InternalError, match=re.escape(str(repeated[-1]))):
+        enumerate_covering_sets(config)
 
 
 RELABEL_CASES = [
@@ -771,7 +854,14 @@ GOLDEN_TREES = [
     ("cyclic:31", 6, "enumerate", False, 60,
      (0, 0, 26, 26, 110, 294, 407), (0, 0, 0, 21, 84, 246, 405),
      (0, 0, 0, 19, 47, 13, 0), (0, 0, 0, 0, 0, 0, 0)),
+    # Gamma1 under one shuffle of its labels, which moves the orbit rule's least images.
+    ("relabeled:semidirect:5,8,2:13", 7, "enumerate", False, 560,
+     (0, 0, 34, 34, 216, 1597, 6838, 1509), (0, 0, 0, 24, 121, 1041, 6671, 1501),
+     (0, 0, 0, 24, 111, 353, 59, 1), (0, 0, 0, 0, 0, 0, 3376, 983)),
 ]
+GOLDEN_GROUPS = {
+    "relabeled:semidirect:5,8,2:13": relabeled(build_semidirect(5, 8, 2), random.Random(13)),
+}
 
 
 @pytest.mark.parametrize(
@@ -780,8 +870,8 @@ GOLDEN_TREES = [
 )
 def test_search_tree_is_golden(spec, size, mode, inverse, finds, examined, pruned, orbit, coset):
     run = enumerate_covering_sets if mode == "enumerate" else exists_covering_set
-    config = SearchConfig(parse_group_spec(spec), size, require_inverse_covering=inverse,
-                          worker_count=1)
+    group = GOLDEN_GROUPS[spec] if spec in GOLDEN_GROUPS else parse_group_spec(spec)
+    config = SearchConfig(group, size, require_inverse_covering=inverse, worker_count=1)
     out = run(config)
     assert len(out.found) == finds
     assert out.examined_by_depth == examined and out.pruned_by_depth == pruned

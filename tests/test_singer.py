@@ -489,6 +489,30 @@ def test_gf31_rejections_need_no_walk_or_the_early_return(monkeypatch):
     assert not is_primitive(field, (0, 0, 0, 0, 1))
 
 
+class Untouchable:
+    """A field table that fails on any read."""
+
+    def __getitem__(self, index):
+        raise AssertionError(f"read index {index}")
+
+    def __len__(self):
+        raise AssertionError("read the length")
+
+
+def test_a_cubic_with_constant_term_zero_is_rejected_without_reading_the_field():
+    # x divides such a cubic, so x is no unit and its walk could never close.
+    field = (Untouchable(),) * 3
+    for a, b in itertools.product(range(4), repeat=2):
+        assert singer._singer_logs(field, (0, a, b, 1)) is None
+
+
+def test_singer_cli_rejects_constant_term_zero_as_not_primitive(capsys):
+    from bigraphds.cli import main
+
+    assert main(["singer", "--q", "31", "--poly", "0,0,0,1"]) == 3
+    assert "modulus (0, 0, 0, 1) is not primitive over GF(31)" in capsys.readouterr().err
+
+
 # --- the norm filter of find_primitive_poly against the unfiltered scan --------
 
 
