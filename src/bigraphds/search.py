@@ -28,6 +28,11 @@ multiplicity of d and of d^-1 (half of it for an involution), and each
 collision charges 2.  Excess starts at the number of involutions: each one is
 missed, or covered twice by its first pair.
 
+Forward checking (Haralick & Elliott 1980): a frame scores its domain once,
+and each survivor's child tries only the later survivors and the element
+past the frame's bound.  Excess, coset state (a down-set) and triples only
+grow: a dropped candidate fails below, and a kept one passes its older triples.
+
 The search is anchored on the pair {0, 1}.  If S is covering, the element 1
 is a difference t_i t_j^-1 of S, so the right translate S t_j^-1 contains
 both the identity and 1.  Only the anchored sets (0, 1, ...) are searched.
@@ -59,7 +64,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import multiprocessing
 import operator
 import time
 from dataclasses import dataclass
@@ -142,8 +146,8 @@ _HALT = None
 
 # Past this many image cells (automorphisms times order) keep translations only.
 AUTOMORPHISM_CELLS = 2_000_000
-# With more workers, a search starts its pool past this many nodes (5-10 pool start-ups).
-FAN_OUT_NODES = 100_000
+# With more workers, a search starts its pool past this many nodes (about 50 ms at s = 9).
+FAN_OUT_NODES = 50_000
 # Past this many count vectors, C(s + d - 1, d - 1), a quotient of index d is left out.
 QUOTIENT_VECTORS = 3000
 
@@ -162,7 +166,7 @@ def _inverse_is_covering(elems: tuple[int, ...], dt, n: int) -> bool:
 def _search_partition(unit: tuple[int, int], budget: int | None = None) -> tuple:
     """Search the anchored sets (0, 1, k + 1, x, ...), x >= first, of the unit
     (k, first); for size 2, the set (0, 1).  A unit past k + 2 continues a
-    partition, so it leaves out the counts of the forced prefix.
+    partition, whose first unit counted the forced prefix and fourth elements.
 
     Returns the finds in lexicographic order, the examined, pruned,
     orbit-pruned and coset-pruned counts indexed by the size of the candidate
@@ -193,68 +197,73 @@ def _search_partition(unit: tuple[int, int], budget: int | None = None) -> tuple
     if pause(first - 1):
         return finds, tallies, rest
 
-    def extend(excess: int, start: int, state: int) -> bool:
+    def extend(excess: int, domain: list[int], state: int) -> bool:
         size = len(partial)
-        xs = fixed[size] if size < len(fixed) else range(start, n - s + size + 1)
-        base = state * d
+        last, base = n - s + size, state * d
+        # Past the fourth element, the parent frame passed all but last on the older triples.
+        newer = () if orbit is None else partial[-1:] if size > 3 else partial[1:]
         ex = pr = op = cp = 0
-        stop = False
-        for x in xs:
+        live, stop = [], False
+        for x in fixed[size] if size < len(fixed) else domain:
             ex += 1
-            after = step[base + coset[x]]
-            if after < 0:  # no feasible count vector lies above
+            if step[base + coset[x]] < 0:  # no feasible count vector lies above
                 cp += 1
                 continue
-            row = pair[x]
-            exc = excess
-            for t in partial:  # read only, so a rejected candidate has nothing to undo
+            row, exc = pair[x], excess
+            for t in partial:  # read only: the second pass writes the counts
                 if counts[row[t]]:
                     exc += 2
                     if exc > slack:
                         pr += 1
                         break
             else:
-                exc = excess
-                for t in partial:  # two new pairs may share a class, so count again
-                    u = row[t]
-                    if counts[u]:
-                        exc += 2
-                    counts[u] += 1
-                rejected = exc > slack
-                if not rejected and orbit is not None and size > 1:
-                    # The new triples {t, t', x}, translated to {t x^-1, t' x^-1, e}.
-                    # A plain loop: a generator frame per candidate cost a quarter of the pass.
-                    for a, b in itertools.combinations([dt[t][x] for t in partial], 2):
-                        if orbit[a][b] <= k:  # orbit is symmetric
-                            rejected = True
+                # The triples {t, u, x}, as {t x^-1, u x^-1, e}, in plain loops (a generator
+                # frame per candidate cost a quarter of the pass); orbit[a][a] is n.
+                for u in newer if x != last or orbit is None else partial[1:]:
+                    near = orbit[dt[u][x]]
+                    for t in partial:
+                        if near[dt[t][x]] <= k:  # orbit is symmetric
                             break
-                    op += rejected
-                if rejected:
-                    pr += 1
-                elif size + 1 < s:
-                    partial.append(x)
-                    stop = extend(exc, x + 1, after) or (size == 3 and pause(x))
-                    partial.pop()
-                else:
-                    elems = (*partial, x)
-                    if not require_inverse or _inverse_is_covering(elems, dt, n):
-                        finds.append(elems)
-                        stop = stop_after_first
-                for t in partial:
-                    counts[row[t]] -= 1
-                if stop:
+                    else:
+                        continue
+                    op += 1
                     break
+                else:
+                    live.append(x)
+        live.append(last + 1)  # the children also try the element past this bound
+        for i, x in enumerate(live[:-1]):
+            row, exc = pair[x], excess
+            for t in partial:  # two new pairs may share a class, so count again
+                u = row[t]
+                if counts[u]:
+                    exc += 2
+                counts[u] += 1
+            if exc > slack:
+                pr += 1
+            elif size + 1 < s:
+                partial.append(x)
+                stop = extend(exc, live[i + 1:], step[base + coset[x]]) or (size == 3 and pause(x))
+                partial.pop()
+            else:
+                elems = (*partial, x)
+                if not require_inverse or _inverse_is_covering(elems, dt, n):
+                    finds.append(elems)
+                    stop = stop_after_first
+            for t in partial:
+                counts[row[t]] -= 1
+            if stop:
+                break
         # Counted per frame: a list update per node would sit in the hottest loop.
         examined[size + 1] += ex
-        pruned[size + 1] += pr + cp
+        pruned[size + 1] += pr + op + cp
         orbit_pruned[size + 1] += op
         coset_pruned[size + 1] += cp
         return stop
 
-    extend(excess0, 1, step[0])
+    extend(excess0, [], step[0])
     if first > k + 2:
         for tally in tallies:
-            tally[2] = tally[3] = 0
+            tally[2] = tally[3] = tally[4] = 0
     return finds, tallies, rest
 
 
@@ -465,6 +474,7 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
         if fan_out:
             units = [fan_out] + [(j, j + 2) for j in todo[i + 1 :]]
             workers = min(config.worker_count, len(units))
+            import multiprocessing  # only a fanned-out search pays for the import
             halt = multiprocessing.RawValue("b", 0)
             pool = multiprocessing.Pool(workers, initializer=_set_state, initargs=(state, halt))
             try:

@@ -10,6 +10,7 @@ import multiprocessing.pool
 import operator
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -548,6 +549,114 @@ def test_automorphism_count_reaches_the_json_payload(capsys):
     assert json.loads(capsys.readouterr().out)["payload"]["automorphisms"] is None
 
 
+# --- forward checking -------------------------------------------------------
+
+
+def plain_search_partition(unit, budget=None):
+    """The oracle of forward checking: the single-pass search, whose every frame
+    scans its whole range x + 1 .. n - s + size and tests each candidate afresh.
+    Same state, arguments and results as search._search_partition."""
+    k, first = unit
+    (pair, dt, n, s, slack, stop_after_first, require_inverse, excess0, orbit,
+     coset, d, step) = search._STATE
+    halt = search._HALT
+    examined, pruned, orbit_pruned, coset_pruned = tallies = [[0] * (s + 1) for _ in range(4)]
+    finds, rest, counts, partial = [], None, [0] * n, [0]
+    fixed = (None, (1,), (k + 1,), range(first, n - s + 4))[:s]
+
+    def pause(x):
+        nonlocal rest
+        if halt is not None:
+            return bool(halt.value)
+        rest = x + 1 if budget is not None and sum(examined) >= budget else None
+        return rest is not None
+
+    if pause(first - 1):
+        return finds, tallies, rest
+
+    def extend(excess, start, state):
+        size = len(partial)
+        xs = fixed[size] if size < len(fixed) else range(start, n - s + size + 1)
+        stop = False
+        for x in xs:
+            examined[size + 1] += 1
+            after = step[state * d + coset[x]]
+            if after < 0:
+                pruned[size + 1] += 1
+                coset_pruned[size + 1] += 1
+                continue
+            exc = excess
+            for t in partial:
+                u = pair[x][t]
+                if counts[u]:
+                    exc += 2
+                counts[u] += 1
+            rejected = exc > slack
+            if not rejected and orbit is not None:
+                right = [dt[t][x] for t in partial]
+                rejected = any(orbit[a][b] <= k for a, b in itertools.combinations(right, 2))
+                orbit_pruned[size + 1] += rejected
+            if rejected:
+                pruned[size + 1] += 1
+            elif size + 1 < s:
+                partial.append(x)
+                stop = extend(exc, x + 1, after) or (size == 3 and pause(x))
+                partial.pop()
+            else:
+                elems = (*partial, x)
+                if not require_inverse or search._inverse_is_covering(elems, dt, n):
+                    finds.append(elems)
+                    stop = stop_after_first
+            for t in partial:
+                counts[pair[x][t]] -= 1
+            if stop:
+                break
+        return stop
+
+    extend(excess0, 1, step[0])
+    if first > k + 2:
+        for tally in tallies:
+            tally[2] = tally[3] = 0
+    return finds, tallies, rest
+
+
+def accepted(out):
+    """The nodes a search accepted, by size: examined less pruned."""
+    return tuple(map(operator.sub, out.examined_by_depth, out.pruned_by_depth))
+
+
+def assert_matches_the_plain_search(out, run, config):
+    """out, from run(config), against the single-pass oracle on one worker: the same
+    finds with their classifications, and for an exhausted search the same accepted
+    nodes and no more examined ones at every size.  Returns the oracle's outcome."""
+    with mock.patch.object(search, "_search_partition", plain_search_partition):
+        plain = run(dataclasses.replace(config, worker_count=1))
+    assert out.found == plain.found and out.exhausted == plain.exhausted
+    if out.exhausted:
+        assert accepted(out) == accepted(plain)
+        assert all(map(operator.le, out.examined_by_depth, plain.examined_by_depth))
+    return plain
+
+
+@pytest.mark.parametrize("group", SYMMETRY_GROUPS, ids=[g.name for g in SYMMETRY_GROUPS])
+def test_forward_checking_matches_the_plain_search(group):
+    for s in symmetry_sizes(group):
+        for inverse in (False, True):
+            config = SearchConfig(group, s, require_inverse_covering=inverse, worker_count=1)
+            for run in (enumerate_covering_sets, exists_covering_set):
+                assert_matches_the_plain_search(run(config), run, config)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(RELABEL_CASES), st.randoms(use_true_random=False), st.booleans())
+def test_forward_checking_under_random_relabelings(case, rng, inverse):
+    group, size = case
+    config = SearchConfig(relabeled(group, rng), size, require_inverse_covering=inverse,
+                          worker_count=1)
+    for run in (enumerate_covering_sets, exists_covering_set):
+        assert_matches_the_plain_search(run(config), run, config)
+
+
 # Budgets for the forced pool: hand off before the first partition, at the
 # first fourth-level boundary, and part-way through a partition.
 POOL_CASES = [
@@ -556,7 +665,7 @@ POOL_CASES = [
     (build_semidirect(5, 4, 2), 6),
     (relabeled(build_semidirect(7, 3, 2), random.Random(1)), 6),
 ]
-MID_PARTITION_BUDGET = 40
+MID_PARTITION_BUDGET = 24
 
 
 def search_key(out):
@@ -578,6 +687,7 @@ def test_forced_pool_matches_one_worker_and_brute_force(group, size, budget, mon
         duo = SearchConfig(group, size, require_inverse_covering=inverse, worker_count=2)
         out = enumerate_covering_sets(duo)
         assert search_key(out) == search_key(enumerate_covering_sets(solo))
+        assert_matches_the_plain_search(out, enumerate_covering_sets, duo)
         assert [f.elements for f in out.found] == want and out.exhausted
         if budget == 0:
             assert out.fan_out == (1, 3)  # the pool gets every partition
@@ -586,6 +696,7 @@ def test_forced_pool_matches_one_worker_and_brute_force(group, size, budget, mon
             assert first > k + 2 or budget == 1  # split part-way through partition k
         witness = exists_covering_set(duo)
         assert search_key(witness) == search_key(exists_covering_set(solo))
+        assert_matches_the_plain_search(witness, exists_covering_set, duo)
         assert [f.elements for f in witness.found] == want[:1]
         assert witness.fan_out is not None or budget
 
@@ -826,38 +937,49 @@ def test_coset_counts_reach_the_outputs(capsys):
     assert payload["quotient_index"] == 2 and payload["candidates_examined"] == 0
 
 
-# Each search tree as the shadow-cell counters (see shadow_excess) gave it: the
-# number of finds, then the examined, pruned, orbit-pruned and coset-pruned
-# counts by candidate size.  Counting pairs by class must not change a node.
+# Each search tree with forward checking: the number of finds, then the
+# examined, pruned, orbit-pruned and coset-pruned counts by candidate size;
+# then the examined and pruned counts of the single-pass search, as the
+# shadow-cell counters (see shadow_excess) gave them.  On an exhausted search
+# both accept the same nodes at every size; a stopped one keeps its witness.
 GOLDEN_TREES = [
     ("cyclic:39", 7, "enumerate", False, 168,
-     (0, 0, 33, 33, 283, 1934, 10324, 17073), (0, 0, 0, 22, 162, 994, 8284, 17069),
-     (0, 0, 0, 22, 161, 685, 662, 1), (0, 0, 0, 0, 0, 0, 1731, 7123)),
+     (0, 0, 33, 33, 283, 1388, 7704, 6771), (0, 0, 0, 22, 162, 448, 5664, 6767),
+     (0, 0, 0, 22, 161, 248, 293, 12), (0, 0, 0, 0, 0, 0, 1274, 2490),
+     (0, 0, 33, 33, 283, 1934, 10324, 17073), (0, 0, 0, 22, 162, 994, 8284, 17069)),
     ("semidirect:5,8,2", 7, "enumerate", False, 560,
-     (0, 0, 34, 34, 283, 2442, 10669, 2741), (0, 0, 0, 24, 119, 1375, 10299, 2701),
-     (0, 0, 0, 24, 105, 430, 109, 0), (0, 0, 0, 0, 0, 0, 5233, 1826)),
+     (0, 0, 34, 34, 283, 2041, 7096, 728), (0, 0, 0, 24, 119, 974, 6726, 688),
+     (0, 0, 0, 24, 107, 268, 149, 0), (0, 0, 0, 0, 0, 0, 3493, 285),
+     (0, 0, 34, 34, 283, 2442, 10669, 2741), (0, 0, 0, 24, 119, 1375, 10299, 2701)),
     ("semidirect:5,8,2", 7, "exists", True, 1,
-     (0, 0, 3, 3, 72, 901, 5325, 1330), (0, 0, 0, 0, 12, 390, 5139, 1329),
-     (0, 0, 0, 0, 0, 57, 17, 0), (0, 0, 0, 0, 0, 0, 2677, 929)),
+     (0, 0, 3, 3, 99, 927, 3794, 300), (0, 0, 0, 0, 12, 395, 3603, 299),
+     (0, 0, 0, 0, 1, 64, 49, 0), (0, 0, 0, 0, 0, 0, 1852, 182),
+     (0, 0, 3, 3, 72, 901, 5325, 1330), (0, 0, 0, 0, 12, 390, 5139, 1329)),
     ("cyclic:40", 7, "enumerate", False, 0,
-     (0, 0, 34, 34, 393, 2614, 9373, 6104), (0, 0, 0, 19, 229, 1766, 8693, 6104),
-     (0, 0, 0, 19, 201, 725, 434, 0), (0, 0, 0, 0, 0, 173, 3658, 4876)),
+     (0, 0, 34, 34, 393, 1853, 5222, 1304), (0, 0, 0, 19, 229, 1005, 4542, 1304),
+     (0, 0, 0, 19, 201, 277, 189, 2), (0, 0, 0, 0, 0, 135, 1890, 970),
+     (0, 0, 34, 34, 393, 2614, 9373, 6104), (0, 0, 0, 19, 229, 1766, 8693, 6104)),
     ("semidirect:13,3,3", 7, "exists", False, 0,
-     (0, 0, 33, 33, 126, 1240, 9452, 14607), (0, 0, 0, 29, 52, 426, 7871, 14607),
-     (0, 0, 0, 29, 52, 139, 142, 0), (0, 0, 0, 0, 0, 0, 1754, 5962)),
+     (0, 0, 33, 33, 126, 1112, 7167, 5517), (0, 0, 0, 29, 52, 298, 5586, 5517),
+     (0, 0, 0, 29, 52, 29, 20, 0), (0, 0, 0, 0, 0, 0, 1303, 1935),
+     (0, 0, 33, 33, 126, 1240, 9452, 14607), (0, 0, 0, 29, 52, 426, 7871, 14607)),
     ("product:cyclic:3,cyclic:13", 7, "enumerate", False, 168,
-     (0, 0, 33, 33, 223, 1797, 10547, 19258), (0, 0, 0, 23, 73, 548, 7901, 19246),
-     (0, 0, 0, 23, 70, 262, 236, 0), (0, 0, 0, 0, 0, 48, 977, 7035)),
+     (0, 0, 33, 33, 223, 1687, 9960, 10358), (0, 0, 0, 23, 73, 438, 7314, 10346),
+     (0, 0, 0, 23, 70, 205, 294, 3), (0, 0, 0, 0, 0, 31, 863, 3966),
+     (0, 0, 33, 33, 223, 1797, 10547, 19258), (0, 0, 0, 23, 73, 548, 7901, 19246)),
     ("cyclic:57", 8, "exists", False, 1,
-     (0, 0, 2, 2, 10, 280, 4099, 13534, 2577), (0, 0, 0, 1, 3, 97, 3231, 13332, 2576),
-     (0, 0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 494, 3525, 1406)),
+     (0, 0, 2, 2, 49, 294, 2920, 4030, 252), (0, 0, 0, 1, 4, 97, 2047, 3827, 251),
+     (0, 0, 0, 0, 1, 7, 76, 62, 0), (0, 0, 0, 0, 0, 0, 292, 652, 139),
+     (0, 0, 2, 2, 10, 280, 4099, 13534, 2577), (0, 0, 0, 1, 3, 97, 3231, 13332, 2576)),
     ("cyclic:31", 6, "enumerate", False, 60,
-     (0, 0, 26, 26, 110, 294, 407), (0, 0, 0, 21, 84, 246, 405),
-     (0, 0, 0, 19, 47, 13, 0), (0, 0, 0, 0, 0, 0, 0)),
+     (0, 0, 26, 26, 110, 212, 125), (0, 0, 0, 21, 84, 164, 123),
+     (0, 0, 0, 20, 57, 21, 0), (0, 0, 0, 0, 0, 0, 0),
+     (0, 0, 26, 26, 110, 294, 407), (0, 0, 0, 21, 84, 246, 405)),
     # Gamma1 under one shuffle of its labels, which moves the orbit rule's least images.
     ("relabeled:semidirect:5,8,2:13", 7, "enumerate", False, 560,
-     (0, 0, 34, 34, 216, 1597, 6838, 1509), (0, 0, 0, 24, 121, 1041, 6671, 1501),
-     (0, 0, 0, 24, 111, 353, 59, 1), (0, 0, 0, 0, 0, 0, 3376, 983)),
+     (0, 0, 34, 34, 216, 1239, 3809, 277), (0, 0, 0, 24, 121, 683, 3642, 269),
+     (0, 0, 0, 24, 113, 151, 22, 0), (0, 0, 0, 0, 0, 0, 1838, 139),
+     (0, 0, 34, 34, 216, 1597, 6838, 1509), (0, 0, 0, 24, 121, 1041, 6671, 1501)),
 ]
 GOLDEN_GROUPS = {
     "relabeled:semidirect:5,8,2:13": relabeled(build_semidirect(5, 8, 2), random.Random(13)),
@@ -865,10 +987,12 @@ GOLDEN_GROUPS = {
 
 
 @pytest.mark.parametrize(
-    "spec,size,mode,inverse,finds,examined,pruned,orbit,coset", GOLDEN_TREES,
+    "spec,size,mode,inverse,finds,examined,pruned,orbit,coset,plain_examined,plain_pruned",
+    GOLDEN_TREES,
     ids=[f"{c[0]}-s{c[1]}-{c[2]}{'-inverse' if c[3] else ''}" for c in GOLDEN_TREES],
 )
-def test_search_tree_is_golden(spec, size, mode, inverse, finds, examined, pruned, orbit, coset):
+def test_search_tree_is_golden(spec, size, mode, inverse, finds, examined, pruned, orbit, coset,
+                               plain_examined, plain_pruned):
     run = enumerate_covering_sets if mode == "enumerate" else exists_covering_set
     group = GOLDEN_GROUPS[spec] if spec in GOLDEN_GROUPS else parse_group_spec(spec)
     config = SearchConfig(group, size, require_inverse_covering=inverse, worker_count=1)
@@ -876,6 +1000,10 @@ def test_search_tree_is_golden(spec, size, mode, inverse, finds, examined, prune
     assert len(out.found) == finds
     assert out.examined_by_depth == examined and out.pruned_by_depth == pruned
     assert out.orbit_pruned_by_depth == orbit and out.coset_pruned_by_depth == coset
+    plain = assert_matches_the_plain_search(out, run, config)
+    assert (plain.examined_by_depth, plain.pruned_by_depth) == (plain_examined, plain_pruned)
+    if out.exhausted:
+        assert accepted(out) == tuple(map(operator.sub, plain_examined, plain_pruned))
 
 
 def shadow_excess(group, elems):
@@ -894,11 +1022,15 @@ def shadow_excess(group, elems):
 
 
 def path_search(group, elems, slack):
-    """Search the one path elems = (0, 1, ...) at the given slack, without the
-    orbit rule: one coset per element, with an automaton that admits only the
-    prefixes of elems.  Returns the finds and the excess-pruned counts by size."""
+    """Search the sets of path elements elems = (0, 1, ...) at the given slack,
+    without the orbit rule: one coset per element, with the automaton of the
+    path's count vector, whose state is the set of path elements placed and which
+    admits every path element not yet placed.  Returns the finds and the accepted
+    counts (examined less pruned) by size."""
     n, m = group.order, len(elems)
-    step = [q + 1 if q < m and x == elems[q] else -1 for q in range(m + 1) for x in range(n)]
+    bit = {x: 1 << i for i, x in enumerate(elems)}
+    step = [q | bit[x] if x in bit and not q & bit[x] else -1
+            for q in range(1 << m) for x in range(n)]
     states = []
 
     def capture(state, halt=None):
@@ -914,9 +1046,25 @@ def path_search(group, elems, slack):
         search._set_state, search._coset_rule, search.AUTOMORPHISM_CELLS = set_state, coset_rule, cells
     state = states[0]
     search._set_state(state[:4] + (slack,) + state[5:])  # the slack is the fifth entry
-    finds, (_, pruned, orbit, coset), _ = search._search_partition((elems[2] - 1, elems[2] + 1))
+    finds, (examined, pruned, orbit, _), _ = search._search_partition((elems[2] - 1, elems[2] + 1))
     assert not any(orbit)
-    return finds, [p - c for p, c in zip(pruned, coset)]
+    return finds, list(map(operator.sub, examined, pruned))
+
+
+def accepted_subpaths(group, elems, slack):
+    """The oracle of path_search: by size, the sets (0, 1, elems[2], ...) of path
+    elements in order whose i-th element is at most n - m + i and whose
+    shadow-cell excess is at most slack."""
+    n, m = group.order, len(elems)
+    counts = [0] * (m + 1)
+    for size in range(2, m + 1):
+        head = elems[:min(size, 3)]
+        for tail in itertools.combinations(elems[3:], size - len(head)):
+            sub = head + tail
+            if (all(x <= n - m + i for i, x in enumerate(sub))
+                    and shadow_excess(group, sub) <= slack):
+                counts[size] += 1
+    return counts
 
 
 # Groups of order 40 with 7, 21, 1 and 1 involutions; the last is Gamma1.
@@ -930,15 +1078,15 @@ PAIR_CLASS_GROUPS = {spec: parse_group_spec(spec) for spec in (
        st.integers(min_value=3, max_value=9))
 def test_pair_class_excess_matches_the_shadow_cells(spec, rng, length):
     # Counting pairs by class {d, d^-1} charges exactly what the shadow cells
-    # charged, after every prefix: the path is found at the oracle's excess and
-    # pruned below it, at the first prefix that reaches that excess.
+    # charged, after every prefix: a set of path elements is accepted exactly
+    # when its oracle excess is within the slack, so the path is found at the
+    # oracle's excess and pruned below it.
     group = PAIR_CLASS_GROUPS[spec]
     elems = (0, 1, *sorted(rng.sample(range(2, group.order), length - 2)))
-    excess = [shadow_excess(group, elems[:j]) for j in range(length + 1)]
     for m in range(3, length + 1):
         prefix = elems[:m]
-        finds, rejected = path_search(group, prefix, excess[m])
-        assert finds == [prefix] and not any(rejected)
-        finds, rejected = path_search(group, prefix, excess[m] - 1)
-        first = next(j for j in range(2, m + 1) if excess[j] >= excess[m])
-        assert not finds and rejected == [int(j == first) for j in range(m + 1)]
+        excess = shadow_excess(group, prefix)
+        for slack, want in ((excess, [prefix]), (excess - 1, [])):
+            finds, accepted_counts = path_search(group, prefix, slack)
+            assert finds == want
+            assert accepted_counts == accepted_subpaths(group, prefix, slack)
