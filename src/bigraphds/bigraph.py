@@ -10,8 +10,10 @@ is an automorphism, so such a graph has two vertex orbits: part 0 and part 1.
 from __future__ import annotations
 
 import json
+import operator
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .diffsets import CandidateSet
 from .errors import CapacityError, UsageError, ValidationError
@@ -68,12 +70,17 @@ class BiGraph:
         return [f"P0_{u}" for u in range(n)] + [f"P1_{l}_{u}" for l in copies for u in range(n)]
 
     def named_edges(self) -> list[tuple[str, str]]:
-        """Each edge as its two vertex names in order, sorted."""
-        names, out = self.vertex_names(), []
+        """Each edge as its two vertex names in order, sorted: by the key r_lo*V + r_hi
+        of the names' ranks, one int per edge."""
+        names, count = self.vertex_names(), self.vertex_count
+        by_rank, rank = sorted(names), [0] * count
+        for r, v in enumerate(sorted(range(count), key=names.__getitem__)):
+            rank[v] = r
+        keys: list[int] = []
         for v, neigh in enumerate(self.adjacency):
-            a = names[v]
-            out += [(a, b) if a < b else (b, a) for b in [names[w] for w in neigh if w > v]]
-        return sorted(out)
+            a = rank[v]
+            keys += [a * count + b if a < b else b * count + a for b in [rank[w] for w in neigh if w > v]]
+        return [(by_rank[a], by_rank[b]) for a, b in map(divmod, sorted(keys), repeat(count))]
 
 
 @dataclass(frozen=True)
@@ -205,8 +212,9 @@ def find_repeats(graph: BiGraph, part: int) -> RepeatReport:
 
     A graph from :func:`build_difference_graph` is certified by its orbits:
     the row of the identity of part 0 (of each copy, for part 1) is computed,
-    and left multiplication by g maps it to the row of g.  A graph without
-    ``source`` (one loaded from json) falls back to one row per vertex.
+    and left multiplication by g maps it to the row of g, which is built from
+    (vertex, count) pairs shared by every row.  A graph without ``source``
+    (one loaded from json) falls back to one row per vertex.
     """
     if part not in (0, 1):
         raise UsageError(f"part must be 0 or 1, got {part}")
@@ -215,16 +223,18 @@ def find_repeats(graph: BiGraph, part: int) -> RepeatReport:
         rows = {u: _shared_neighbours(adjacency, u) for u in graph.part_vertices(part)}
         return RepeatReport(part=part, repeats=rows)
     n, mul = graph.n, graph.source.group.mul
-    # block[x] is group element x in one copy (block 0 is part 0); left
-    # multiplication by g maps it to block[g*x].  Indexing shares the vertex
-    # ints between rows instead of allocating one per entry.
-    blocks = [list(range(b, b + n)) for b in range(0, graph.vertex_count, n)]
+    # left multiplication by g maps vertex b + x (element x of the copy at b) to b + g*x
+    bases = graph.part_vertices(part)[::n]
+    rows = [_shared_neighbours(adjacency, base) for base in bases]
+    pairs = {c: [(v, c) for v in range(graph.vertex_count)] for c in {c for row in rows for _, c in row}}
     repeats: dict[int, tuple[tuple[int, int], ...]] = {}
-    for base in graph.part_vertices(part)[::n]:
-        row = [(blocks[v // n], v % n, c) for v, c in _shared_neighbours(adjacency, base)]
+    for base, row in zip(bases, rows):
+        tables, offsets = [pairs[c] for _, c in row], [v - v % n for v, _ in row]
+        # two pads keep the gather a tuple for short rows; the map stops at offsets' end
+        gather = operator.itemgetter(*[v % n for v, _ in row], 0, 0)
         for g in range(n):
-            left = mul[g]
-            repeats[base + g] = tuple(sorted([(block[left[x]], c) for block, x, c in row]))
+            images = map(operator.add, offsets, gather(mul[g]))
+            repeats[base + g] = tuple(sorted(map(list.__getitem__, tables, images)))
     return RepeatReport(part=part, repeats=repeats)
 
 
@@ -279,17 +289,20 @@ def load_graph_json(text: str) -> BiGraph:
     graph = BiGraph(n=n, m=m, s=s, group_name=group_name, adjacency=[[] for _ in names])
     if names != graph.vertex_names():
         raise ValidationError("part names do not match the declared n and m")
-    name_id, adjacency, seen = dict(zip(names, range(len(names)))).get, graph.adjacency, set()
+    count, adjacency, seen = len(names), graph.adjacency, set()
+    name_id = dict(zip(names, range(count))).__getitem__
     for edge in edges:
         try:  # a non-list, a length other than 2, an unknown or unhashable name all raise
-            va, vb = sorted(map(name_id, edge)) if isinstance(edge, list) else ()
-        except (TypeError, ValueError):
+            va, vb = map(name_id, edge) if isinstance(edge, list) else ()
+        except (KeyError, TypeError, ValueError):
             raise ValidationError(f"edge {edge!r} is not a pair of vertex names") from None
+        if va > vb:
+            va, vb = vb, va
         if va >= n or vb < n:
             raise ValidationError(f"edge {edge[0]} -- {edge[1]} is not cross-part")
-        if (va, vb) in seen:
+        if (key := va * count + vb) in seen:
             raise ValidationError(f"duplicate edge {edge[0]} -- {edge[1]}")
-        seen.add((va, vb))
+        seen.add(key)
         adjacency[va].append(vb)
         adjacency[vb].append(va)
     graph.adjacency = [sorted(x) for x in graph.adjacency]

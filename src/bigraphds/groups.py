@@ -11,7 +11,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -167,13 +167,11 @@ def format_cayley_table(g: Group) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _find_latin_violation(mul: Sequence[Sequence[int]], rows_only: bool = False) -> tuple[int, int] | None:
+def _find_latin_violation(mul: Sequence[Sequence[int]]) -> tuple[int, int] | None:
     """First cell that repeats a value earlier in its row; failing that, in its column."""
     for i, row in enumerate(mul):
         if len(set(row)) < len(row):
             return (i, next(j for j, v in enumerate(row) if v in row[:j]))
-    if rows_only:
-        return None
     for j, col in enumerate(zip(*mul)):
         if len(set(col)) < len(col):
             return (next(i for i, v in enumerate(col) if v in col[:i]), j)
@@ -271,9 +269,10 @@ def _find_identity(mul: Sequence[tuple[int, ...]]) -> int | None:
 def parse_cayley_table(text: str, name: str = "loaded") -> Group:
     """Parse and fully validate a Cayley table; relabel so the identity is 0.
 
-    Columns are scanned only if the identity or Light's test fails: Latin rows give each
-    x a right inverse, so with a two-sided identity and associativity the table is a group,
-    whose columns are Latin.  On failure the scan runs first, so the error is unchanged."""
+    Neither rows nor columns are scanned once the identity e, a right inverse for each x
+    (e in every row) and Light's test hold: a finite monoid with right inverses is a group,
+    whose table is Latin.  On any failure the Latin scan runs first, so the error is
+    unchanged, and a table whose rows lack e is rejected before Light's test runs."""
     # Data lines are split one at a time, so only one row of tokens is alive.
     lines = [s for line in text.splitlines() if (s := line.strip()) and not s.startswith("#")]
     if not lines:
@@ -302,18 +301,16 @@ def parse_cayley_table(text: str, name: str = "loaded") -> Group:
                 raise ValidationError(f"row {i}, column {j}: entry {v} out of range 0..{n - 1}")
         mul.append(tuple(map(int, row)))
 
-    cell = _find_latin_violation(mul, rows_only=True)
-    e = _find_identity(mul) if cell is None else None
-    triple = _find_associativity_violation(mul) if e is not None else None
-    if cell is None and (e is None or triple is not None):
-        cell = _find_latin_violation(mul)
-    if cell is not None:
-        raise ValidationError(
-            f"not a Latin square: duplicate value in row/column at cell ({cell[0]}, {cell[1]})"
-        )
-    if e is None:
-        raise ValidationError("table has no two-sided identity element")
-    if triple is not None:
+    e, triple = _find_identity(mul), None
+    if (e is None or not all(map(operator.contains, mul, repeat(e)))
+            or (triple := _find_associativity_violation(mul)) is not None):
+        # a row without e repeats a value, so only a missing e or a triple passes the scan
+        if (cell := _find_latin_violation(mul)) is not None:
+            raise ValidationError(
+                f"not a Latin square: duplicate value in row/column at cell ({cell[0]}, {cell[1]})"
+            )
+        if e is None:
+            raise ValidationError("table has no two-sided identity element")
         i, j, k = triple
         raise ValidationError(f"not associative: ({i}*{j})*{k} != {i}*({j}*{k})")
 
@@ -340,8 +337,9 @@ def load_cayley_table(path: str | Path) -> Group:
 
 
 def validate_group(g: Group) -> GroupReport:
-    """Re-check every Group axiom from the raw table and summarize structure.  Columns are
-    scanned only if the identity or associativity check fails, as in parse_cayley_table."""
+    """Re-check every Group axiom from the raw table and summarize structure.  As in
+    parse_cayley_table, neither rows nor columns are scanned once the identity,
+    associativity and inverses hold: such a table is a group's, and Latin."""
     axioms: dict[str, bool] = {}
     first_failure: str | None = None
 
@@ -351,15 +349,13 @@ def validate_group(g: Group) -> GroupReport:
         if not ok and first_failure is None:
             first_failure = detail
 
-    cell = _find_latin_violation(g.mul, rows_only=True)
     ident_ok = g.order > 0 and all(g.mul[0][x] == x and g.mul[x][0] == x for x in range(g.order))
     triple = _find_associativity_violation(g.mul)
-    if cell is None and not (ident_ok and triple is None):
-        cell = _find_latin_violation(g.mul)
+    inv_ok = all(g.mul[x][g.inv[x]] == 0 and g.mul[g.inv[x]][x] == 0 for x in range(g.order))
+    cell = None if ident_ok and triple is None and inv_ok else _find_latin_violation(g.mul)
     record("latin_square", cell is None, f"duplicate at cell {cell}" if cell else "")
     record("identity", ident_ok, "index 0 is not a two-sided identity")
     record("associativity", triple is None, f"violated at triple {triple}" if triple else "")
-    inv_ok = all(g.mul[x][g.inv[x]] == 0 and g.mul[g.inv[x]][x] == 0 for x in range(g.order))
     record("inverses", inv_ok, "inv table does not give two-sided inverses")
 
     return GroupReport(

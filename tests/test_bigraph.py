@@ -541,6 +541,8 @@ def test_loader_errors_match_the_oracle():
         corrupt(edges=[["P0_x", edge[1]]]),
         corrupt(edges=[edge[::-1], [*edge, edge[0]]]),
         corrupt(edges=[[edge[0]]]),
+        corrupt(edges=[[*edge, ["x"]]]),
+        corrupt(edges=[[edge[1], "P0_x"]]),
         corrupt(edges=[[]]),
         corrupt(edges=[[0, 7]]),
         corrupt(edges=[[None, None]]),

@@ -743,9 +743,10 @@ def test_product_and_semidirect_tables_match_the_per_cell_formulas():
         assert build_semidirect(m, n, k).mul == semidirect_cells(m, n, k), (m, n, k)
 
 
-# --- the column scan runs only when the identity or Light's test fails: the
-# reader and validate_group against the old order (full Latin scan, identity,
-# Light's test), which the oracles above keep -------------------------------
+# --- the Latin scan runs only when the identity, a right inverse for each x or
+# Light's test fails (in validate_group: the identity, associativity or the inv
+# table): the reader and validate_group against the old order (full Latin scan,
+# identity, Light's test), which the oracles above keep ----------------------
 
 
 def assert_same_verdicts_as_the_full_scan_first(table):
@@ -755,16 +756,54 @@ def assert_same_verdicts_as_the_full_scan_first(table):
     assert repr(validate_group(g)) == repr(oracle_validate_group(g))
 
 
-def test_column_shortcut_on_every_row_latin_table_of_order_at_most_3():
+def test_latin_shortcut_on_every_table_of_order_at_most_3():
+    # validate_group on these tables: test_light_test_reports_the_oracle_triple_on_every_small_table
     for n in (1, 2, 3):
-        for rows in itertools.product(itertools.permutations(range(n)), repeat=n):
-            assert_same_verdicts_as_the_full_scan_first(rows)
+        for cells in itertools.product(range(n), repeat=n * n):
+            assert_readers_agree(table_text([cells[i * n : (i + 1) * n] for i in range(n)]))
+
+
+def test_a_group_table_is_accepted_without_a_latin_scan(monkeypatch):
+    g = build_semidirect(5, 8, 2)
+    text = table_text(relabeled_rows(g, random.Random(5)))
+
+    def latin_scan(mul):
+        raise AssertionError("the Latin scan ran on a group table")
+
+    monkeypatch.setattr(groups, "_find_latin_violation", latin_scan)
+    assert parse_cayley_table(text).order == 40
+    assert validate_group(g).ok
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+def test_a_monoid_whose_rows_lack_the_identity_is_rejected_before_lights_test(n, monkeypatch):
+    """The multiplicative monoid of Z_n: an identity, associative, not Latin (row 0 is all 0)."""
+    monoid = tuple(tuple(x * y % n for y in range(n)) for x in range(n))
+    assert oracle_associativity_violation(monoid) is None and groups._find_identity(monoid) == 1
+    rows = relabeled_rows(Group(n, monoid, tuple(range(n)), True, (1,) * n, "t"), random.Random(n))
+
+    def light_test(mul):
+        raise AssertionError("Light's test ran on a table whose rows lack the identity")
+
+    monkeypatch.setattr(groups, "_find_associativity_violation", light_test)
+    _, error = assert_readers_agree(table_text(rows))
+    assert error.startswith("ValidationError: not a Latin square: duplicate value in row/column")
+
+
+def test_a_group_with_a_wrong_inverse_table_is_still_a_latin_square():
+    g = build_semidirect(5, 8, 2)
+    bad = Group(g.order, g.mul, tuple(range(g.order)), False, g.element_orders, "t")
+    report = validate_group(bad)
+    assert report.axioms == {"latin_square": True, "identity": True, "associativity": True,
+                             "inverses": False}
+    assert report.first_failure == "inv table does not give two-sided inverses"
+    assert repr(report) == repr(oracle_validate_group(bad))
 
 
 def test_latin_rows_with_an_identity_and_a_repeated_column_are_not_a_latin_square():
     rows = [list(r) for r in build_cyclic(5).mul]
     rows[2][1], rows[2][3] = rows[2][3], rows[2][1]     # row 2 stays a permutation
-    assert groups._find_latin_violation(rows, rows_only=True) is None
+    assert all(len(set(row)) == len(row) for row in rows)
     assert groups._find_identity(tuple(map(tuple, rows))) == 0
     with pytest.raises(ValidationError, match=re.escape("Latin square: duplicate value in row/column "
                                                         "at cell (4, 1)")):
