@@ -29,11 +29,10 @@ MAX_EDGES = 1_000_000
 class BiGraph:
     """Vertices 0..n-1 are part 0; vertex n + (l-1)*n + v is copy l's v.
 
-    ``source`` is the set the adjacency was built from, or None for a graph
-    of unknown origin (such as one from :func:`load_graph_json`).  While it is
-    set, :func:`diameter` and :func:`find_repeats` rely on the group action and
-    search from one vertex per orbit.  A caller that edits ``adjacency`` must
-    clear it first: ``dataclasses.replace(graph, source=None)``.
+    ``source`` is the set the adjacency was built from.  :func:`diameter` and
+    :func:`find_repeats` certify by its group action, one vertex per orbit, and
+    refuse a graph without it, such as one from :func:`load_graph_json`.  A
+    caller that edits ``adjacency`` must clear it: ``dataclasses.replace(graph, source=None)``.
     """
 
     n: int
@@ -157,35 +156,22 @@ def _bfs_distances(adjacency: list[list[int]], source: int) -> list[int]:
 
 
 def diameter(graph: BiGraph) -> DiameterReport:
-    """Exact diameter by BFS; None when disconnected.
+    """Exact diameter of G_m(S), certified by its two vertex orbits; None when disconnected.
 
-    A graph from :func:`build_difference_graph` is certified by its two vertex
-    orbits: BFS from vertex 0 and vertex n gives every eccentricity.  A graph
-    without ``source`` (one loaded from json) falls back to BFS from every
-    vertex.  The witness is, either way, the first vertex of largest
-    eccentricity and the first vertex farthest from it.
+    BFS from vertex 0 and vertex n gives every eccentricity.  The witness is the
+    first vertex of largest eccentricity and the first vertex farthest from it;
+    in a disconnected graph, vertex 0 and the first vertex it cannot reach.
     """
+    if graph.source is None:
+        raise UsageError("diameter certifies only graphs from build_difference_graph (source is None)")
     n, count = graph.n, graph.vertex_count
-    sources = range(count) if graph.source is None else (0, n)
-    eccs: list[int | None] = []
-    finite_best, finite_witness = 0, (0, 0)
-    infinite_witness: tuple[int, int] | None = None
-    for v in sources:
-        dist = _bfs_distances(graph.adjacency, v)
-        if -1 in dist:
-            eccs.append(None)
-            if infinite_witness is None:
-                infinite_witness = (v, dist.index(-1))
-        else:
-            ecc = max(dist)
-            eccs.append(ecc)
-            if ecc > finite_best:
-                finite_best, finite_witness = ecc, (v, dist.index(ecc))
-    if graph.source is not None:
-        eccs = [eccs[0]] * n + [eccs[1]] * (count - n)
-    if infinite_witness is not None:
-        return DiameterReport(None, tuple(eccs), infinite_witness)
-    return DiameterReport(finite_best, tuple(eccs), finite_witness)
+    dists = [_bfs_distances(graph.adjacency, v) for v in (0, n)]
+    if -1 in dists[0]:
+        return DiameterReport(None, (None,) * count, (0, dists[0].index(-1)))
+    eccs = [max(dist) for dist in dists]
+    far = 0 if eccs[0] >= eccs[1] else 1
+    witness = (far * n, dists[far].index(eccs[far]))
+    return DiameterReport(eccs[far], (eccs[0],) * n + (eccs[1],) * (count - n), witness)
 
 
 def verify_biregular(graph: BiGraph) -> BiregularCheck:
@@ -210,19 +196,15 @@ def _shared_neighbours(adjacency: list[list[int]], u: int) -> tuple[tuple[int, i
 def find_repeats(graph: BiGraph, part: int) -> RepeatReport:
     """For each vertex of the part, the same-part vertices sharing >= 2 neighbors.
 
-    A graph from :func:`build_difference_graph` is certified by its orbits:
-    the row of the identity of part 0 (of each copy, for part 1) is computed,
-    and left multiplication by g maps it to the row of g, which is built from
-    (vertex, count) pairs shared by every row.  A graph without ``source``
-    (one loaded from json) falls back to one row per vertex.
+    Certified by the orbits of G_m(S): the row of the identity of part 0 (of
+    each copy, for part 1) is computed, and left multiplication by g maps it to
+    the row of g, which is built from (vertex, count) pairs shared by every row.
     """
     if part not in (0, 1):
         raise UsageError(f"part must be 0 or 1, got {part}")
-    adjacency = graph.adjacency
     if graph.source is None:
-        rows = {u: _shared_neighbours(adjacency, u) for u in graph.part_vertices(part)}
-        return RepeatReport(part=part, repeats=rows)
-    n, mul = graph.n, graph.source.group.mul
+        raise UsageError("find_repeats certifies only graphs from build_difference_graph (source is None)")
+    adjacency, n, mul = graph.adjacency, graph.n, graph.source.group.mul
     # left multiplication by g maps vertex b + x (element x of the copy at b) to b + g*x
     bases = graph.part_vertices(part)[::n]
     rows = [_shared_neighbours(adjacency, base) for base in bases]
@@ -272,6 +254,9 @@ def export_graph(graph: BiGraph, fmt: str) -> str:
 
 def load_graph_json(text: str) -> BiGraph:
     """Inverse of the json export; every malformed payload is a ValidationError.
+
+    The result compares equal to the exported graph but has no ``source``, so
+    :func:`diameter` and :func:`find_repeats` do not certify it.
 
     The declared part lists are checked against n and m before the adjacency
     is sized, so the allocation never exceeds what the payload itself holds.

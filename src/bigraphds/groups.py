@@ -178,10 +178,11 @@ def _find_latin_violation(mul: Sequence[Sequence[int]]) -> tuple[int, int] | Non
     return None
 
 
-def _greedy_generators(mul: Sequence[Sequence[int]]) -> list[int]:
-    """Each the least element not reached by right products of those before (0 in a group)."""
+def _greedy_generators(mul: Sequence[Sequence[int]], identity: int | None = None) -> list[int]:
+    """Each the least element not reached by right products of those before (0 in a group).
+    A known two-sided identity starts reached: as a generator it would reach nothing."""
     n = len(mul)
-    reached = [False] * n
+    reached = [identity == x for x in range(n)]
     gens: list[int] = []
     for g in range(n):
         if reached[g]:
@@ -199,7 +200,7 @@ def _greedy_generators(mul: Sequence[Sequence[int]]) -> list[int]:
 
 
 def _find_associativity_violation(
-    mul: Sequence[Sequence[int]],
+    mul: Sequence[Sequence[int]], identity: int | None = None
 ) -> tuple[int, int, int] | None:
     """A triple (x, a, y) with (x*a)*y != x*(a*y), or None, by Light's test.
 
@@ -207,11 +208,12 @@ def _find_associativity_violation(
     products (Clifford & Preston, 1961), so checking the greedy generators
     suffices: their walk reaches only products of checked elements.  Each
     (a, x) compares x's row taken at a's row, x*(a*y) for all y, with (x*a)'s.
+    A known two-sided identity passes trivially and is not checked.
     """
     n = len(mul)
     if n == 1:  # [[0]]; itemgetter of one index would return a scalar
         return None
-    for a in _greedy_generators(mul):
+    for a in _greedy_generators(mul, identity):
         arow, x_times_a_row = mul[a], operator.itemgetter(*mul[a])
         for x, row in enumerate(mul):
             xa_row = mul[row[a]]
@@ -241,7 +243,7 @@ def automorphisms(group: Group, transversal: bool = False) -> Iterator[tuple[int
     The first generator is 1, so Stab(1) comes first; with transversal, each other
     image c of 1 yields only its first r_c, and Aut = union of the r_c Stab(1)."""
     mul, n, orders = group.mul, group.order, group.element_orders
-    gens = _greedy_generators(mul)[1:]      # without the identity
+    gens = _greedy_generators(mul, 0)
 
     def extend(i: int, phi: list[int]) -> Iterator[tuple[int, ...]]:
         if i == len(gens):
@@ -303,7 +305,7 @@ def parse_cayley_table(text: str, name: str = "loaded") -> Group:
 
     e, triple = _find_identity(mul), None
     if (e is None or not all(map(operator.contains, mul, repeat(e)))
-            or (triple := _find_associativity_violation(mul)) is not None):
+            or (triple := _find_associativity_violation(mul, e)) is not None):
         # a row without e repeats a value, so only a missing e or a triple passes the scan
         if (cell := _find_latin_violation(mul)) is not None:
             raise ValidationError(
@@ -350,7 +352,7 @@ def validate_group(g: Group) -> GroupReport:
             first_failure = detail
 
     ident_ok = g.order > 0 and all(g.mul[0][x] == x and g.mul[x][0] == x for x in range(g.order))
-    triple = _find_associativity_violation(g.mul)
+    triple = _find_associativity_violation(g.mul, 0 if ident_ok else None)
     inv_ok = all(g.mul[x][g.inv[x]] == 0 and g.mul[g.inv[x]][x] == 0 for x in range(g.order))
     cell = None if ident_ok and triple is None and inv_ok else _find_latin_violation(g.mul)
     record("latin_square", cell is None, f"duplicate at cell {cell}" if cell else "")

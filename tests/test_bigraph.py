@@ -7,6 +7,7 @@ import itertools
 import json
 import random
 import time
+from collections import Counter, deque
 
 import networkx as nx
 import pytest
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 
 from bigraphds.bigraph import (
     BiGraph,
+    DiameterReport,
+    RepeatReport,
     build_difference_graph,
     diameter,
     export_graph,
@@ -38,6 +41,62 @@ def to_networkx(graph: BiGraph) -> nx.Graph:
     for v, neigh in enumerate(graph.adjacency):
         g.add_edges_from((v, w) for w in neigh)
     return g
+
+
+# --- the all-source oracles: diameter and find_repeats without the group action
+
+
+def oracle_distances(graph, source):
+    dist = [-1] * graph.vertex_count
+    dist[source], queue = 0, deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in graph.adjacency[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def all_source_diameter(graph):
+    """diameter by BFS from every vertex; any graph, with or without its source set."""
+    eccs, best, witness, unreached = [], 0, (0, 0), None
+    for v in range(graph.vertex_count):
+        dist = oracle_distances(graph, v)
+        if -1 in dist:
+            eccs.append(None)
+            unreached = unreached or (v, dist.index(-1))
+        else:
+            eccs.append(max(dist))
+            if eccs[-1] > best:
+                best, witness = eccs[-1], (v, dist.index(eccs[-1]))
+    if unreached:
+        return DiameterReport(None, tuple(eccs), unreached)
+    return DiameterReport(best, tuple(eccs), witness)
+
+
+def all_source_repeats(graph, part):
+    """find_repeats by one shared-neighbour row per vertex; any graph."""
+    rows = {}
+    for u in graph.part_vertices(part):
+        shared = Counter(v for w in graph.adjacency[u] for v in graph.adjacency[w] if v != u)
+        rows[u] = tuple(sorted((v, c) for v, c in shared.items() if c >= 2))
+    return RepeatReport(part=part, repeats=rows)
+
+
+def networkx_repeats(graph, part):
+    g = to_networkx(graph)
+    return {
+        u: tuple((v, c) for v in graph.part_vertices(part)
+                 if v != u and (c := len(list(nx.common_neighbors(g, u, v)))) >= 2)
+        for u in graph.part_vertices(part)
+    }
+
+
+def assert_certificate_matches_the_oracles(graph):
+    assert diameter(graph) == all_source_diameter(graph), (graph.group_name, graph.source.elements, graph.m)
+    for part in (0, 1):
+        assert find_repeats(graph, part) == all_source_repeats(graph, part), (graph.group_name, part)
 
 
 def test_fig2_g2_over_z7():
@@ -97,6 +156,7 @@ def test_diameter_matches_networkx():
         graph_over_z(6, (0, 1, 3), 2),
     ]
     for graph in cases:
+        assert_certificate_matches_the_oracles(graph)
         rep = diameter(graph)
         nx_graph = to_networkx(graph)
         if nx.is_connected(nx_graph):
@@ -145,11 +205,17 @@ def test_repeats_in_g2_over_z7():
 
 
 def test_repeats_on_four_cycle():
+    # C4 is no G_m(S) (S = Z2 is degenerate), so only the oracles take it; they agree with networkx
     c4 = BiGraph(n=2, m=1, s=2, group_name="C4", adjacency=[[2, 3], [2, 3], [0, 1], [0, 1]])
+    eccs = nx.eccentricity(to_networkx(c4))
+    assert all_source_diameter(c4) == DiameterReport(2, tuple(eccs[v] for v in range(4)), (0, 1))
     for part in (0, 1):
-        report = find_repeats(c4, part)
+        report = all_source_repeats(c4, part)
+        assert report.repeats == networkx_repeats(c4, part)
         for u, partners in report.repeats.items():
             assert len(partners) == 1 and partners[0][1] == 2
+        with pytest.raises(UsageError):
+            find_repeats(c4, part)
 
 
 def test_export_edge_list_counts():
@@ -333,12 +399,8 @@ def orbit_grid():
 def test_orbit_certification_matches_all_source_oracle():
     from_part1 = disconnected = 0
     for graph in orbit_grid():
-        oracle = dataclasses.replace(graph, source=None)
-        assert graph.source is not None and oracle.source is None
+        assert_certificate_matches_the_oracles(graph)
         report = diameter(graph)
-        assert report == diameter(oracle), (graph.group_name, graph.source.elements, graph.m)
-        for part in (0, 1):
-            assert find_repeats(graph, part) == find_repeats(oracle, part)
         from_part1 += report.witness[0] == graph.n
         disconnected += report.diameter is None
     # the grid holds witnesses from either orbit and disconnected graphs
@@ -355,6 +417,7 @@ def test_orbit_certification_matches_networkx():
         graph_over_z(9, (3, 6), 2),  # inside the subgroup {0, 3, 6}: disconnected
     ]
     for graph in cases:
+        assert_certificate_matches_the_oracles(graph)
         rep = diameter(graph)
         nx_graph = to_networkx(graph)
         if nx.is_connected(nx_graph):
@@ -371,18 +434,23 @@ def test_orbit_certification_matches_networkx():
             assert rep.witness == (0, min(set(nx_graph) - reached))
 
 
-def test_loaded_graph_falls_back_to_all_source_search():
+def test_loaded_graph_round_trips_but_is_not_certified():
     group = relabeled(build_semidirect(7, 3, 2), 3)
     for elems, m in [((0, 1, 5), 2), ((2, 7), 3), ((0,), 1)]:
         graph = build_difference_graph(CandidateSet(group, elems), m)
         loaded = load_graph_json(export_graph(graph, "json"))
         assert loaded.source is None and loaded == graph
-        assert diameter(loaded) == diameter(graph)
+        assert all_source_diameter(loaded) == diameter(graph)
+        with pytest.raises(UsageError, match="diameter certifies only graphs from build_difference_graph"):
+            diameter(loaded)
+        with pytest.raises(UsageError, match="part must be 0 or 1, got 2"):  # the part is checked first
+            find_repeats(loaded, 2)
         for part in (0, 1):
-            assert find_repeats(loaded, part) == find_repeats(graph, part)
+            with pytest.raises(UsageError, match="find_repeats certifies only graphs"):
+                find_repeats(loaded, part)
 
 
-def test_edited_graph_with_source_cleared_gets_all_source_answer():
+def test_edited_graph_is_refused_and_its_oracles_match_networkx():
     graph = graph_over_z(7, (0, 1, 3), 2)
     edited = dataclasses.replace(graph, source=None)
     w = edited.adjacency[3][0]
@@ -390,16 +458,15 @@ def test_edited_graph_with_source_cleared_gets_all_source_answer():
     edited.adjacency[w].remove(3)
     assert len(graph.adjacency[3]) == 6  # the original keeps its edge
     eccs = nx.eccentricity(to_networkx(edited))
-    rep = diameter(edited)
+    rep = all_source_diameter(edited)
     assert rep.eccentricities == tuple(eccs[v] for v in range(edited.vertex_count))
     assert rep.eccentricities != diameter(graph).eccentricities
+    with pytest.raises(UsageError):
+        diameter(edited)
     for part in (0, 1):
-        shared = {
-            u: tuple((v, c) for v in edited.part_vertices(part)
-                     if v != u and (c := len(set(edited.adjacency[u]) & set(edited.adjacency[v]))) >= 2)
-            for u in edited.part_vertices(part)
-        }
-        assert find_repeats(edited, part).repeats == shared
+        assert all_source_repeats(edited, part).repeats == networkx_repeats(edited, part)
+        with pytest.raises(UsageError):
+            find_repeats(edited, part)
 
 
 def test_large_singer_graph_is_certified_quickly():

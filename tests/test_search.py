@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bigraphds.diffsets import NON_COVERING, PERFECT, CandidateSet, classify_set, inverse_set
-from bigraphds import search
+from bigraphds import groups, search
 from bigraphds.errors import InternalError, ValidationError
 from bigraphds.groups import (
     automorphisms,
@@ -316,6 +316,22 @@ SYMMETRY_GROUPS = [build_cyclic(n) for n in range(17, 22)] + [
 ]
 RELABELED = [build_cyclic(13), build_cyclic(20), build_cyclic(21)] + SYMMETRY_GROUPS[-8:]
 SYMMETRY_GROUPS += [relabeled(g, random.Random(seed)) for seed, g in enumerate(RELABELED)]
+
+
+def test_a_known_identity_is_left_out_of_the_greedy_generators():
+    # Light's test and automorphisms skip only the generator 0, which reaches nothing and never
+    # yields a triple: every table of order <= 3 with identity 0, group or not, and the groups above
+    tables = [((0,),)] + [
+        (tuple(range(n)), *((i, *cells[(i - 1) * (n - 1): i * (n - 1)]) for i in range(1, n)))
+        for n in (2, 3) for cells in itertools.product(range(n), repeat=(n - 1) ** 2)
+    ]
+    tables += [g.mul for g in SYMMETRY_GROUPS]
+    assert len(tables) == 1 + 2 + 81 + len(SYMMETRY_GROUPS)
+    for mul in tables:
+        assert groups._greedy_generators(mul)[0] == 0
+        assert groups._greedy_generators(mul, 0) == groups._greedy_generators(mul)[1:], mul
+        violation = groups._find_associativity_violation
+        assert violation(mul, 0) == violation(mul), mul
 
 
 def symmetry_sizes(group):
