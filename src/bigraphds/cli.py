@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import bigraph, bounds, diffsets, groups, ledger, search, singer
-from .errors import BigraphdsError, UsageError
+from .errors import BigraphdsError, InternalError, UsageError
 
 
 def _require(cond: bool, message: str) -> None:
@@ -129,6 +129,8 @@ def _cmd_graph(args) -> tuple[dict, str, int]:
     cand = diffsets.parse_set_literal(group, args.set)
     graph = bigraph.build_difference_graph(cand, args.m)
     check = bigraph.verify_biregular(graph)
+    if not check.ok:
+        raise InternalError(f"G_{graph.m}(S) is not biregular at vertex {check.offending_vertex}")
     payload = {
         "group": group.name,
         "n": graph.n,
@@ -136,12 +138,11 @@ def _cmd_graph(args) -> tuple[dict, str, int]:
         "s": graph.s,
         "vertices": graph.vertex_count,
         "edges": graph.edge_count,
-        "degrees": [check.part0_degree, check.part1_degree] if check.ok else None,
+        "degrees": [check.part0_degree, check.part1_degree],
     }
     lines = [
         f"G_{graph.m}(S) over {group.name}: {graph.vertex_count} vertices, "
-        f"{graph.edge_count} edges, degrees "
-        + (f"({check.part0_degree},{check.part1_degree})" if check.ok else "NOT biregular")
+        f"{graph.edge_count} edges, degrees ({check.part0_degree},{check.part1_degree})"
     ]
     if args.check_diameter:
         rep = bigraph.diameter(graph)

@@ -155,7 +155,7 @@ def parse_set_literal(group: Group, text: str) -> CandidateSet:
         raise UsageError(f"set literal {text!r} has an empty item")
     elems = []
     for item in items:
-        if re.fullmatch(r"\d+", item):
+        if re.fullmatch(r"-?\d+", item):
             elems.append(int(item))
         else:
             elems.append(parse_word(group, item))

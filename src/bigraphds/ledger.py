@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import bigraph, bounds, diffsets, groups, search, singer
-from .errors import InternalError
+from .errors import InternalError, UsageError
 
 Z39_WITNESS = (0, 1, 2, 4, 13, 18, 33)
 # The five non-Abelian groups of order 42: the Frobenius group Z7 x| Z6, the
@@ -245,7 +245,9 @@ CHECKS = (
 
 def run_check(name: str, workers: int = 1) -> CheckResult:
     """Run one named check; a crash counts as a failed check, an InternalError propagates."""
-    check, full_only = next((c, f) for n, c, f in CHECKS if n == name)
+    check, full_only = next(((c, f) for n, c, f in CHECKS if n == name), (None, False))
+    if check is None:
+        raise UsageError(f"unknown check {name!r}")
     try:
         ok, detail = check(workers) if full_only else check()
     except InternalError:

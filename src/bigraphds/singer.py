@@ -92,29 +92,6 @@ def _power_walk(field: Field, poly) -> list[tuple[int, ...]]:
     return powers
 
 
-def is_primitive(field: Field, poly) -> bool:
-    """True when the class of x has order |F|^deg - 1 modulo the monic poly, deg >= 2.
-
-    Decided by the power walk in O(|F|^deg) steps: x is primitive exactly when its powers
-    first return to 1 at step |F|^deg - 1.  A reducible poly never passes, since F[x]/(poly)
-    then has a nonzero non-unit and so fewer units than that.  For f0 = 0, x is no unit, and
-    the answer is False without a walk.
-    """
-    deg = len(poly) - 1
-    r = len(field[0]) ** deg - 1
-    return deg >= 2 and poly[0] != 0 and len(_power_walk(field, poly)) == r
-
-
-def find_primitive_poly(field: Field, degree: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic primitive polynomial of the degree, found by walking
-    the norm-filtered candidates, O(|F|^degree) steps each.  The package calls it only from
-    build_field, where |F|^degree - 1 = q - 1 <= 30."""
-    for poly in _norm_filtered(field, degree):
-        if is_primitive(field, poly):
-            return poly
-    raise InternalError(f"no primitive polynomial of degree {degree} over GF({len(field[0])})")
-
-
 def build_field(q: int) -> Field:
     """(add, mul, sub) tables of GF(q) in the encoding of the module docstring."""
     decomp = prime_power_decompose(q)
@@ -132,8 +109,13 @@ def build_field(q: int) -> Field:
     )
     if k == 1:
         return prime
-    # exp[i] is the index of x^i, whose coefficients are its base-p digits
-    powers = _power_walk(prime, find_primitive_poly(prime, k))
+    # the first norm-filtered poly whose walk has q - 1 steps is primitive, and that walk
+    # lists x^i: exp[i] is its index, whose base-p digits are its coefficients
+    for poly in _norm_filtered(prime, k):
+        if len(powers := _power_walk(prime, poly)) == q - 1:
+            break
+    else:
+        raise InternalError(f"no primitive polynomial of degree {k} over GF({p})")
     exp = [sum(c * p**j for j, c in enumerate(e)) for e in powers]
     log = {e: i for i, e in enumerate(exp)}
     # the additive group is Z_p^k, and its digit encoding is build_direct_product's, top digit first

@@ -12,7 +12,7 @@ import pytest
 from bigraphds import bigraph, bounds, ledger, search
 from bigraphds.cli import main
 from bigraphds.diffsets import NON_COVERING
-from bigraphds.errors import InternalError
+from bigraphds.errors import InternalError, UsageError
 from bigraphds.groups import build_semidirect, format_cayley_table
 
 
@@ -104,6 +104,28 @@ def test_repro_internal_error_exits_5(monkeypatch, capsys):
         ledger.run_check("z6-doubled-element-is-the-involution")
     assert main(["repro", "--workers", "1"]) == 5
     assert "non-covering set" in capsys.readouterr().err
+
+
+def test_graph_that_fails_its_biregularity_check_exits_5(monkeypatch, capsys):
+    # the check of a graph that build_difference_graph just made may not end in an exit 0
+    rejected = bigraph.BiregularCheck(False, None, None, 3)
+    monkeypatch.setattr(bigraph, "verify_biregular", lambda graph: rejected)
+    assert main(["graph", "--group", "cyclic:7", "--set", "0,1,3", "--m", "2", "--json"]) == 5
+    envelope = json.loads(capsys.readouterr().out)
+    assert envelope["exit_code"] == 5 and envelope["error"]["type"] == "InternalError"
+    assert "not biregular at vertex 3" in envelope["error"]["message"] and "payload" not in envelope
+
+
+def test_run_check_of_an_unknown_name_is_a_usage_error():
+    with pytest.raises(UsageError, match="unknown check 'no-such-check'"):
+        ledger.run_check("no-such-check")
+
+
+@pytest.mark.parametrize("group,top", [("cyclic:7", 6), ("semidirect:5,8,2", 39)])
+def test_a_negative_index_in_a_set_literal_is_out_of_range(group, top, capsys):
+    # read as the integer -1, as 9 in Z7 is, and not as a generator word
+    assert main(["classify", "--group", group, "--set", "0,-1"]) == 3
+    assert f"set elements must lie in 0..{top}, got (0, -1)" in capsys.readouterr().err
 
 
 def test_non_decimal_digits_are_rejected(tmp_path, capsys):

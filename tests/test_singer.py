@@ -14,8 +14,6 @@ from bigraphds.groups import build_cyclic
 from bigraphds.singer import (
     PUBLISHED_PERFECT_SETS,
     build_field,
-    find_primitive_poly,
-    is_primitive,
     prime_power_decompose,
     singer_set,
 )
@@ -212,6 +210,17 @@ def oracle_reducible_cubics(p: int) -> set[tuple[int, ...]]:
     return {mul(l, q) for l in linears for q in quads}
 
 
+def walk_is_primitive(field, poly) -> bool:
+    """build_field's test of a monic poly of degree >= 2 with f0 != 0: its power walk first
+    returns to 1 at step |F|^deg - 1."""
+    return len(singer._power_walk(field, poly)) == len(field[0]) ** (len(poly) - 1) - 1
+
+
+def cubic_is_primitive(field, poly) -> bool:
+    """singer_set's test of a monic cubic: _singer_logs walks it to the end."""
+    return singer._singer_logs(field, poly) is not None
+
+
 def order_of_x(field, modulus) -> int:
     deg = len(modulus) - 1
     x, one = (0, 1) + (0,) * (deg - 2), (1,) + (0,) * (deg - 1)
@@ -236,7 +245,8 @@ def test_prime_field_basics():
 
 
 def test_gf4_uses_the_unique_irreducible_quadratic():
-    assert find_primitive_poly(build_field(2), 2) == (1, 1, 1)  # x^2 + x + 1
+    f2 = build_field(2)
+    assert walk_is_primitive(f2, (1, 1, 1)) and not walk_is_primitive(f2, (1, 0, 1))  # x^2 + x + 1
     add, mul, _ = build_field(4)
     assert mul[2][2] == 3  # x * x = x + 1, digits (1, 1)
     assert add[2][3] == 1  # x + (x + 1) = 1
@@ -245,13 +255,13 @@ def test_gf4_uses_the_unique_irreducible_quadratic():
 
 def test_published_cubic_over_gf3_is_primitive():
     f3 = build_field(3)
-    assert is_primitive(f3, (1, 1, 2, 1))
+    assert walk_is_primitive(f3, (1, 1, 2, 1)) and cubic_is_primitive(f3, (1, 1, 2, 1))
     assert order_of_x(f3, (1, 1, 2, 1)) == 26
     assert oracle_power_walk(3, (1, 1, 2, 1)) == 26
 
 
 def test_gf2_cubic_x3_x_1_is_primitive():
-    assert is_primitive(build_field(2), (1, 1, 0, 1))
+    assert singer_set(2, (1, 1, 0, 1)).poly_used == (1, 1, 0, 1)
     assert oracle_power_walk(2, (1, 1, 0, 1)) == 7
 
 
@@ -262,7 +272,7 @@ def test_irreducibility_matches_bruteforce_over_gf3():
     for coeffs in itertools.product(range(3), repeat=3):
         poly = (*coeffs, 1)
         assert has_root(f3, poly) == (poly in reducible), poly
-        assert not (is_primitive(f3, poly) and poly in reducible), poly
+        assert not (cubic_is_primitive(f3, poly) and poly in reducible), poly
     # the spec's spot check: x^3 + 2x + 1 against the brute-force factorization
     assert has_root(f3, (1, 2, 0, 1)) == ((1, 2, 0, 1) in reducible)
 
@@ -271,27 +281,45 @@ def test_irreducibility_matches_bruteforce_over_gf3():
     "p, degrees", [(2, (2, 3, 4)), (3, (2, 3, 4)), (5, (3,))], ids=["GF2", "GF3", "GF5"]
 )
 def test_is_primitive_matches_the_power_walk_oracle(p, degrees):
+    """The table walks against plain list arithmetic.  x is no unit for f0 = 0, where only
+    the cubic walk is defined, and it must reject."""
     field = build_field(p)
     for deg in degrees:
         primitive = 0
         for coeffs in itertools.product(range(p), repeat=deg):
             poly = (*coeffs, 1)
-            # x is not invertible when the constant term is 0
             want = coeffs[0] != 0 and oracle_power_walk(p, poly) == p**deg - 1
-            assert is_primitive(field, poly) == want, poly
+            if coeffs[0]:
+                assert walk_is_primitive(field, poly) == want, poly
+            if deg == 3:
+                assert cubic_is_primitive(field, poly) == want, poly
             primitive += want
         assert primitive > 0
 
 
 def test_find_primitive_cubic_is_lexicographically_first():
     f3 = build_field(3)
-    chosen = find_primitive_poly(f3, 3)
-    assert is_primitive(f3, chosen)
+    chosen = singer_set(3).poly_used
+    assert oracle_is_primitive(f3, chosen) and cubic_is_primitive(f3, chosen)
     for coeffs in itertools.product(range(3), repeat=3):
         poly = (*coeffs, 1)
         if poly == chosen:
             break
-        assert not is_primitive(f3, poly)
+        assert not oracle_is_primitive(f3, poly) and not cubic_is_primitive(f3, poly), poly
+
+
+def test_extension_x_satisfies_the_first_primitive_polynomial():
+    """In every GF(p^k), q <= 31, x (index p) is a root of the lexicographically first monic
+    degree-k polynomial over GF(p) that square-and-multiply calls primitive: x^k, read from
+    the table, is -(f0 + f1 x + ... + f_(k-1) x^(k-1))."""
+    for q in (4, 8, 9, 16, 25, 27):
+        p, k = prime_power_decompose(q)
+        add, mul, sub = build_field(q)
+        poly = oracle_find_primitive_poly(build_field(p), k)
+        lower, x_power = 0, 1  # f0 + ... + f_(i-1) x^(i-1), and x^i
+        for f in poly[:-1]:  # f < p is the same element of GF(p) in both fields
+            lower, x_power = add[lower][mul[f][x_power]], mul[x_power][p]
+        assert x_power == sub[0][lower], (q, poly)
 
 
 def test_extension_generator_orders():
@@ -429,14 +457,18 @@ def test_published_sets_fixture():
                    (9, (2, 3))], ids=lambda x: f"GF{x}" if isinstance(x, int) else None,
 )
 def test_is_primitive_equals_the_test_with_x_to_the_r(q, degrees):
-    """The power walk gives square-and-multiply's verdict on every monic polynomial."""
+    """The power walks give square-and-multiply's verdict on every monic polynomial: the
+    general walk where f0 != 0, and the cubic walk on every cubic."""
     field = build_field(q)
     for deg in degrees:
         verdicts = set()
         for coeffs in itertools.product(range(q), repeat=deg):
             poly = (*coeffs, 1)
-            verdict = is_primitive(field, poly)
-            assert verdict == oracle_is_primitive(field, poly), poly
+            verdict = oracle_is_primitive(field, poly)
+            if coeffs[0]:
+                assert walk_is_primitive(field, poly) == verdict, poly
+            if deg == 3:
+                assert cubic_is_primitive(field, poly) == verdict, poly
             verdicts.add(verdict)
         assert verdicts == {False, True}
 
@@ -471,22 +503,15 @@ def test_shift_walk_matches_the_general_product_for_every_primitive_cubic(q):
     assert primitive
 
 
-def test_gf31_rejections_need_no_walk_or_the_early_return(monkeypatch):
-    """x^4 has f0 = 0, so x is no unit and is_primitive answers without walking.  x^3 + 7 is
-    irreducible and its norm -7 generates GF(31)*, so the norm filter and the root test both
-    pass it: only the walk's early return to 1 rejects it."""
+def test_gf31_rejections_need_no_walk_or_the_early_return():
+    """x^3 + 7 is irreducible and its norm -7 generates GF(31)*, so the norm filter and the
+    root test both pass it: only the walk's early return to 1 rejects it."""
     field = build_field(31)
     poly = (7, 0, 0, 1)
     assert not has_root(field, poly) and norm_generates(field, 7, 3)
     assert not oracle_is_primitive(field, poly)
     with pytest.raises(ValidationError, match=r"modulus \(7, 0, 0, 1\) is not primitive over GF\(31\)"):
         singer_set(31, poly)
-
-    def no_walk(*args):
-        raise AssertionError("walked")
-
-    monkeypatch.setattr(singer, "_power_walk", no_walk)
-    assert not is_primitive(field, (0, 0, 0, 0, 1))
 
 
 class Untouchable:
@@ -513,11 +538,17 @@ def test_singer_cli_rejects_constant_term_zero_as_not_primitive(capsys):
     assert "modulus (0, 0, 0, 1) is not primitive over GF(31)" in capsys.readouterr().err
 
 
-# --- the norm filter of find_primitive_poly against the unfiltered scan --------
+# --- the norm-filtered walk of build_field against the unfiltered scan --------
+
+
+def first_walked(field, degree):
+    """build_field's choice of modulus: the first norm-filtered polynomial whose walk has
+    |F|^degree - 1 steps."""
+    return next(poly for poly in singer._norm_filtered(field, degree) if walk_is_primitive(field, poly))
 
 
 def oracle_find_primitive_poly(field, degree):
-    """find_primitive_poly without the norm filter or the walk: every monic polynomial in
+    """first_walked without the norm filter or the walk: every monic polynomial in
     lexicographic order, tested by square-and-multiply."""
     for coeffs in itertools.product(range(len(field[0])), repeat=degree):
         if oracle_is_primitive(field, poly := (*coeffs, 1)):
@@ -543,10 +574,13 @@ PRIME_POWERS_TO_32 = [q for q in range(2, 33) if prime_power_decompose(q)]
 @pytest.mark.parametrize("q", PRIME_POWERS_TO_32)
 def test_find_primitive_poly_matches_the_unfiltered_scan(q):
     """Degrees 2 and 3 for every q <= 32; degree 4 up to q = 19, as beyond it the unfiltered
-    scan costs seconds per field (10 s at q = 25 with Python 3.11 on a 2-vCPU machine)."""
+    scan costs seconds per field (10 s at q = 25 with Python 3.11 on a 2-vCPU machine).  The
+    cubic is also singer_set's own choice wherever the group order allows one."""
     field = build_field(q)
     for degree in (2, 3, 4) if q <= 19 else (2, 3):
-        assert find_primitive_poly(field, degree) == oracle_find_primitive_poly(field, degree), degree
+        assert first_walked(field, degree) == oracle_find_primitive_poly(field, degree), degree
+    if q <= 31:
+        assert singer_set(q).poly_used == oracle_find_primitive_poly(field, 3)
 
 
 @pytest.mark.parametrize("q", [q for q in PRIME_POWERS_TO_32 if q <= 13])
