@@ -28,7 +28,6 @@ from .diffsets import (
     NON_COVERING,
     PERFECT,
     CandidateSet,
-    DifferenceProfile,
     SetClassification,
     classify_profile,
     classify_set,

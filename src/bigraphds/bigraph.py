@@ -14,6 +14,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
+from typing import NamedTuple
 
 from .diffsets import CandidateSet
 from .errors import CapacityError, UsageError, ValidationError
@@ -32,7 +33,7 @@ class BiGraph:
     ``source`` is the set the adjacency was built from.  :func:`diameter` and
     :func:`find_repeats` certify by its group action, one vertex per orbit, and
     refuse a graph without it, such as one from :func:`load_graph_json`.  A
-    caller that edits ``adjacency`` must clear it: ``dataclasses.replace(graph, source=None)``.
+    caller that edits ``adjacency`` must set ``source`` to None.
     """
 
     n: int
@@ -82,8 +83,7 @@ class BiGraph:
         return [(by_rank[a], by_rank[b]) for a, b in map(divmod, sorted(keys), repeat(count))]
 
 
-@dataclass(frozen=True)
-class DiameterReport:
+class DiameterReport(NamedTuple):
     """diameter is None when the graph is disconnected (infinite)."""
 
     diameter: int | None
@@ -91,20 +91,18 @@ class DiameterReport:
     witness: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class BiregularCheck:
-    ok: bool
-    part0_degree: int | None
-    part1_degree: int | None
+class BiregularCheck(NamedTuple):
+    """(part-0 degree, part-1 degree) when biregular, else the first offending vertex."""
+
+    degrees: tuple[int, int] | None
     offending_vertex: int | None
 
     @property
-    def degrees(self) -> tuple[int, int] | None:
-        return (self.part0_degree, self.part1_degree) if self.ok else None
+    def ok(self) -> bool:
+        return self.degrees is not None
 
 
-@dataclass(frozen=True)
-class RepeatReport:
+class RepeatReport(NamedTuple):
     """Same-part vertices sharing at least two neighbors, with the shared counts."""
 
     part: int
@@ -176,11 +174,11 @@ def diameter(graph: BiGraph) -> DiameterReport:
 
 def verify_biregular(graph: BiGraph) -> BiregularCheck:
     """Check degree uniformity per part; report the first offending vertex."""
-    degrees = [len(graph.adjacency[v]) for v in (0, graph.n)]  # of each part's first vertex
+    degrees = (len(graph.adjacency[0]), len(graph.adjacency[graph.n]))  # each part's first vertex
     for v, neigh in enumerate(graph.adjacency):
         if len(neigh) != degrees[graph.part_of(v)]:
-            return BiregularCheck(False, None, None, v)
-    return BiregularCheck(True, *degrees, None)
+            return BiregularCheck(None, v)
+    return BiregularCheck(degrees, None)
 
 
 def _shared_neighbours(adjacency: list[list[int]], u: int) -> tuple[tuple[int, int], ...]:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import CapacityError, UsageError, ValidationError
 
@@ -25,8 +25,7 @@ _TABLES = {
 }
 
 
-@dataclass(frozen=True)
-class ImprovedBound:
+class ImprovedBound(NamedTuple):
     """The diameter-3 improvement for degrees (multiplier*s, s)."""
 
     multiplier: int
@@ -36,8 +35,7 @@ class ImprovedBound:
     n2: int
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     r: int
     s: int
     d: int
@@ -125,7 +123,7 @@ def bound_report(r: int, s: int) -> BoundReport:
     base = moore_bound_odd(r, s, 1)
     improved = improved_moore_bound(r // s, s) if r % s == 0 else None
     best = min(base.moore, improved.value) if improved else base.moore
-    return replace(base, improved=improved, best=best)
+    return base._replace(improved=improved, best=best)
 
 
 def render_table(kind: str, r_max: int, s_max: int, fmt: str = "md") -> str:

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 reproduction-check failure, 2 usage, 3 validation,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -30,23 +29,20 @@ def _workers(args) -> int:
     return args.workers
 
 
-# Payload keys that differ from the names of the dataclass fields they hold.
+# Payload keys that differ from the names of the record fields they hold.
 _RENAMED = {"elements": "set", "group_name": "group", "lam": "lambda", "poly_used": "poly"}
 
 
 def _jsonable(obj):
-    """JSON-ready form of a result dataclass, field by field.
+    """JSON-ready form of a result record (a NamedTuple), field by field.
 
     A CandidateSet becomes its element list, so no payload carries its
     group's multiplication table; a classification adds its params.
     """
     if isinstance(obj, diffsets.CandidateSet):
         return list(obj.elements)
-    if dataclasses.is_dataclass(obj):
-        out = {
-            _RENAMED.get(f.name, f.name): _jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
+    if hasattr(obj, "_asdict"):  # before the tuple branch, which would drop the field names
+        out = {_RENAMED.get(k, k): _jsonable(v) for k, v in obj._asdict().items()}
         if isinstance(obj, diffsets.SetClassification):
             out["params"] = obj.params()
         return out
@@ -138,11 +134,11 @@ def _cmd_graph(args) -> tuple[dict, str, int]:
         "s": graph.s,
         "vertices": graph.vertex_count,
         "edges": graph.edge_count,
-        "degrees": [check.part0_degree, check.part1_degree],
+        "degrees": list(check.degrees),
     }
     lines = [
         f"G_{graph.m}(S) over {group.name}: {graph.vertex_count} vertices, "
-        f"{graph.edge_count} edges, degrees ({check.part0_degree},{check.part1_degree})"
+        f"{graph.edge_count} edges, degrees ({check.degrees[0]},{check.degrees[1]})"
     ]
     if args.check_diameter:
         rep = bigraph.diameter(graph)
@@ -179,7 +175,7 @@ def _cmd_search(args) -> tuple[dict, str, int]:
     )
     run = search.exists_covering_set if args.exists_only else search.enumerate_covering_sets
     out = run(config)
-    out = dataclasses.replace(out, found=out.found[: args.limit])
+    out = out._replace(found=out.found[: args.limit])
     payload = _jsonable(out)
     lines = [
         f"{out.group_name} size {out.size} (slack {out.slack}): "

@@ -13,6 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .errors import UsageError, ValidationError
 from .groups import Group
@@ -47,16 +48,7 @@ class CandidateSet:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class DifferenceProfile:
-    """counts[g] = multiplicity of g in the multiset of ordered differences."""
-
-    counts: tuple[int, ...]
-    s: int
-
-
-@dataclass(frozen=True)
-class SetClassification:
+class SetClassification(NamedTuple):
     verdict: str
     n: int
     s: int
@@ -78,7 +70,8 @@ class SetClassification:
         return f"({self.n},{self.s})"
 
 
-def difference_profile(cand: CandidateSet) -> DifferenceProfile:
+def difference_profile(cand: CandidateSet) -> tuple[int, ...]:
+    """counts[g] = multiplicity of g in the multiset of ordered differences."""
     group = cand.group
     counts = [0] * group.order
     mul, inv = group.mul, group.inv
@@ -86,16 +79,15 @@ def difference_profile(cand: CandidateSet) -> DifferenceProfile:
         row = mul[ti]
         for tj in cand.elements:
             counts[row[inv[tj]]] += 1
-    return DifferenceProfile(tuple(counts), cand.size)
+    return tuple(counts)
 
 
-def classify_profile(profile: DifferenceProfile) -> SetClassification:
-    """Classification is a pure function of the profile."""
-    n = len(profile.counts)
-    s = profile.s
+def classify_profile(counts: tuple[int, ...]) -> SetClassification:
+    """Classification is a pure function of the profile; s is counts[0], as t t^-1 = e."""
+    n, s = len(counts), counts[0]
     if n < 2:
         raise ValidationError("the trivial group has no non-identity element to cover")
-    nonid = profile.counts[1:]  # the identity is 0
+    nonid = counts[1:]  # the identity is 0
     histogram = dict(sorted(Counter(nonid).items()))
     missing = tuple(compress(range(1, n), map((0).__eq__, nonid))) if 0 in histogram else ()
     repeated = tuple(compress(range(1, n), map((1).__lt__, nonid)))
@@ -155,8 +147,7 @@ def parse_set_literal(group: Group, text: str) -> CandidateSet:
         raise UsageError(f"set literal {text!r} has an empty item")
     elems = []
     for item in items:
-        if re.fullmatch(r"-?\d+", item):
-            elems.append(int(item))
-        else:
-            elems.append(parse_word(group, item))
+        if item.startswith("+"):  # in every group, before the word parser sees it
+            raise UsageError(f"set item {item!r} has a leading '+'; write the bare index")
+        elems.append(int(item) if re.fullmatch(r"-?\d+", item) else parse_word(group, item))
     return CandidateSet(group, tuple(elems))

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CapacityError, UsageError, ValidationError
 
@@ -51,8 +51,7 @@ class Group:
         return acc
 
 
-@dataclass(frozen=True)
-class GroupReport:
+class GroupReport(NamedTuple):
     """Re-checked axioms plus the structural summary used by the search layer."""
 
     name: str

@@ -10,8 +10,8 @@ the paper is stated once, here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from . import bigraph, bounds, diffsets, groups, search, singer
 from .errors import InternalError, UsageError
@@ -31,8 +31,7 @@ ABELIAN_ORDER40 = ("cyclic:40", "product:cyclic:2,cyclic:20", "product:product:c
 SEARCH_BUDGET_MS = 15 * 60 * 1000  # each order-39..42 search must finish within 15 minutes
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str

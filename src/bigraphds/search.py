@@ -61,12 +61,12 @@ order, so output is deterministic for any worker count.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import operator
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diffsets import CandidateSet, SetClassification, classify_set
 from .errors import CapacityError, InternalError, UsageError, ValidationError
@@ -96,14 +96,12 @@ class SearchConfig:
         return self.group.order - self.size + 1 if self.size > 2 else 1
 
 
-@dataclass(frozen=True)
-class FoundSet:
+class FoundSet(NamedTuple):
     elements: tuple[int, ...]
     classification: SetClassification
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     group_name: str
     size: int
     slack: int
@@ -126,8 +124,7 @@ class SearchOutcome:
     automorphisms: int | None = None
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     spec: str
     group_name: str | None
     found: bool | None
@@ -506,8 +503,8 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
             images.update(zip(map(tuple, map(sorted, map(image_of, maps))),
                               zip(itertools.repeat(cls), maps)))
     found = [
-        FoundSet(elems, dataclasses.replace(
-            cls, repeated=tuple(sorted(map(phi.__getitem__, cls.repeated))),
+        FoundSet(elems, cls._replace(
+            repeated=tuple(sorted(map(phi.__getitem__, cls.repeated))),
             histogram=dict(cls.histogram)))
         for elems, (cls, phi) in sorted(images.items())
     ]

@@ -24,7 +24,7 @@ quotient ring F[x]/(f) is the tuple of its deg f coefficients.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diffsets import PERFECT, CandidateSet, SetClassification, classify_set
 from .errors import CapacityError, InternalError, ValidationError
@@ -129,8 +129,7 @@ def build_field(q: int) -> Field:
     )
 
 
-@dataclass(frozen=True)
-class SingerSet:
+class SingerSet(NamedTuple):
     q: int
     n: int
     exponents_raw: tuple[int, ...]

@@ -12,8 +12,9 @@ import pytest
 
 import bigraphds
 
+from bigraphds import ledger
 from bigraphds.bigraph import export_graph, load_graph_json
-from bigraphds.cli import main
+from bigraphds.cli import _RENAMED, _jsonable, main
 
 
 def run_json(capsys, argv):
@@ -278,3 +279,32 @@ def test_search_human_output_counts_the_sets_past_twenty(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "40 covering set(s)" in lines[0]
     assert len(lines) == 22 and lines[-1] == "  ... 20 more"
+
+
+def test_every_result_record_serializes_by_field_name():
+    # each record is a NamedTuple; one caught by the tuple branch would become a list
+    z7 = bigraphds.build_cyclic(7)
+    graph = bigraphds.build_difference_graph(bigraphds.CandidateSet(z7, (0, 1, 3)), 2)
+    outcome = bigraphds.enumerate_covering_sets(bigraphds.SearchConfig(z7, 3))
+    bound = bigraphds.bound_report(6, 3)
+    cls = bigraphds.classify_set(bigraphds.CandidateSet(z7, (0, 1, 3)))
+    check = bigraphds.verify_biregular(graph)
+    row = bigraphds.sweep_family(["cyclic:7"], 3)[0]
+    singer = bigraphds.singer_set(2)
+    records = [
+        bigraphds.validate_group(z7), cls, bigraphds.diameter(graph), check,
+        bigraphds.find_repeats(graph, 1), bound.improved, bound, outcome.found[0], outcome,
+        row, singer, ledger.CheckResult("check", True, "detail"),
+    ]
+    assert len({type(rec) for rec in records}) == 12
+    for rec in records:
+        extra = {"params"} if rec is cls else set()
+        assert set(_jsonable(rec)) == {_RENAMED.get(f, f) for f in rec._fields} | extra, rec
+    assert {"poly", "set"} <= set(_jsonable(singer))
+    assert _jsonable(cls)["lambda"] == 1 and _jsonable(cls)["params"] == "(7,3,1)"
+    assert _jsonable(outcome)["group"] == _jsonable(row)["group"] == "Z7"
+    assert _jsonable(check) == {"degrees": [6, 3], "offending_vertex": None}
+    found = _jsonable(outcome.found)
+    assert isinstance(found, list) and all(isinstance(f, dict) for f in found)
+    assert found[0]["set"] == list(outcome.found[0].elements)
+    assert found[0]["classification"]["params"] == "(7,3,1)"

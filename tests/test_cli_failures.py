@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import time
@@ -98,7 +97,7 @@ def test_repro_internal_error_exits_5(monkeypatch, capsys):
     # the ledger must not turn that into an ordinary failed check.
     real = search.classify_set
     monkeypatch.setattr(
-        search, "classify_set", lambda cand: dataclasses.replace(real(cand), verdict=NON_COVERING)
+        search, "classify_set", lambda cand: real(cand)._replace(verdict=NON_COVERING)
     )
     with pytest.raises(InternalError):
         ledger.run_check("z6-doubled-element-is-the-involution")
@@ -108,7 +107,7 @@ def test_repro_internal_error_exits_5(monkeypatch, capsys):
 
 def test_graph_that_fails_its_biregularity_check_exits_5(monkeypatch, capsys):
     # the check of a graph that build_difference_graph just made may not end in an exit 0
-    rejected = bigraph.BiregularCheck(False, None, None, 3)
+    rejected = bigraph.BiregularCheck(None, 3)
     monkeypatch.setattr(bigraph, "verify_biregular", lambda graph: rejected)
     assert main(["graph", "--group", "cyclic:7", "--set", "0,1,3", "--m", "2", "--json"]) == 5
     envelope = json.loads(capsys.readouterr().out)
@@ -126,6 +125,13 @@ def test_a_negative_index_in_a_set_literal_is_out_of_range(group, top, capsys):
     # read as the integer -1, as 9 in Z7 is, and not as a generator word
     assert main(["classify", "--group", group, "--set", "0,-1"]) == 3
     assert f"set elements must lie in 0..{top}, got (0, -1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group", ["cyclic:7", "semidirect:5,8,2"])
+def test_a_leading_plus_in_a_set_literal_is_a_usage_error(group, capsys):
+    # the same error with or without named generators, before any word is parsed
+    assert main(["classify", "--group", group, "--set", "0,+1"]) == 2
+    assert "set item '+1' has a leading '+'" in capsys.readouterr().err
 
 
 def test_non_decimal_digits_are_rejected(tmp_path, capsys):

@@ -45,22 +45,22 @@ def brute_profile(group, elems):
 
 def test_z13_perfect_profile():
     cand = CandidateSet(build_cyclic(13), (0, 1, 3, 9))
-    profile = difference_profile(cand)
-    assert profile.counts[0] == 4
-    assert all(profile.counts[g] == 1 for g in range(1, 13))
+    counts = difference_profile(cand)
+    assert counts[0] == 4
+    assert all(counts[g] == 1 for g in range(1, 13))
 
 
 def test_z39_profile_doubles():
     cand = CandidateSet(build_cyclic(39), (0, 1, 2, 4, 13, 18, 33))
-    counts = difference_profile(cand).counts
+    counts = difference_profile(cand)
     assert {g for g in range(1, 39) if counts[g] == 2} == {1, 2, 37, 38}
     assert all(counts[g] == 1 for g in range(1, 39) if g not in {1, 2, 37, 38})
 
 
 def test_singleton_profile():
     for group in (build_cyclic(5), build_semidirect(5, 8, 2)):
-        profile = difference_profile(CandidateSet(group, (0,)))
-        assert profile.counts[0] == 1 and sum(profile.counts) == 1
+        counts = difference_profile(CandidateSet(group, (0,)))
+        assert counts[0] == 1 and sum(counts) == 1
 
 
 def test_classify_z13_perfect():
@@ -138,10 +138,10 @@ def test_right_translation_invariance_exhaustive():
     ]
     for group, item in cases:
         cand = item if isinstance(item, CandidateSet) else CandidateSet(group, item)
-        base = difference_profile(cand).counts
+        base = difference_profile(cand)
         for g in range(group.order):
             shifted = CandidateSet(group, tuple(group.mul[t][g] for t in cand.elements))
-            assert difference_profile(shifted).counts == base
+            assert difference_profile(shifted) == base
 
 
 def test_profile_matches_brute_oracle_and_sums():
@@ -153,18 +153,18 @@ def test_profile_matches_brute_oracle_and_sums():
     ]
     for group, item in cases:
         cand = item if isinstance(item, CandidateSet) else CandidateSet(group, item)
-        profile = difference_profile(cand)
-        assert list(profile.counts) == brute_profile(group, cand.elements)
+        counts = difference_profile(cand)
+        assert list(counts) == brute_profile(group, cand.elements)
         s = cand.size
-        assert sum(profile.counts) == s * s
-        assert profile.counts[0] >= s
-        assert sum(c for g, c in enumerate(profile.counts) if g != 0) == s * (s - 1)
+        assert sum(counts) == s * s
+        assert counts[0] == s  # t t^-1 = e once per element, and no other pair gives e
+        assert sum(c for g, c in enumerate(counts) if g != 0) == s * (s - 1)
 
 
 def test_abelian_mirror_symmetry():
     group = build_cyclic(12)
     cand = CandidateSet(group, (0, 1, 4, 6))
-    counts = difference_profile(cand).counts
+    counts = difference_profile(cand)
     assert all(counts[g] == counts[group.inv[g]] for g in range(group.order))
 
 
@@ -224,7 +224,7 @@ def test_random_sets_covering_bound_and_translation(data):
         assert n - 1 <= s * (s - 1) or n == 1
     g = data.draw(st.integers(min_value=0, max_value=n - 1))
     shifted = CandidateSet(group, tuple(group.mul[t][g] for t in elems))
-    assert difference_profile(shifted).counts == difference_profile(cand).counts
+    assert difference_profile(shifted) == difference_profile(cand)
 
 
 def test_params_of_covering_and_non_covering_verdicts():
@@ -240,12 +240,11 @@ def test_inner_identity_factor_is_skipped():
     assert parse_word(g, "1*b") == parse_word(g, "b") != 0
 
 
-def per_element_classification(profile):
+def per_element_classification(counts, s):
     """classify_profile as first written, one element at a time: the oracle for
     its C-level passes.  It needs an order of at least 2 (levels[0] below)."""
-    n = len(profile.counts)
-    s = profile.s
-    nonid = [(g, c) for g, c in enumerate(profile.counts) if g]  # the identity is 0
+    n = len(counts)
+    nonid = [(g, c) for g, c in enumerate(counts) if g]  # the identity is 0
     missing = tuple(g for g, c in nonid if c == 0)
     repeated = tuple(g for g, c in nonid if c >= 2)
     histogram = dict(sorted(Counter(c for _, c in nonid).items()))
@@ -292,9 +291,10 @@ def test_known_sets_reach_every_covering_verdict():
 @settings(max_examples=150, deadline=None)
 @given(candidate_sets())
 def test_classify_profile_matches_the_per_element_version(cand):
-    profile = difference_profile(cand)
+    counts = difference_profile(cand)
+    assert counts[0] == cand.size  # the s that classify_profile reads
     if cand.group.order == 1:
         with pytest.raises(ValidationError, match="trivial group"):
-            classify_profile(profile)
+            classify_profile(counts)
     else:
-        assert classify_profile(profile) == per_element_classification(profile)
+        assert classify_profile(counts) == per_element_classification(counts, cand.size)

@@ -377,8 +377,8 @@ def expand_every_find(config, monkeypatch):
             images.update(zip(map(tuple, map(sorted, map(image_of, maps))),
                               zip(itertools.repeat(cls), maps)))
     found = tuple(
-        FoundSet(elems, dataclasses.replace(
-            cls, repeated=tuple(sorted(map(phi.__getitem__, cls.repeated))),
+        FoundSet(elems, cls._replace(
+            repeated=tuple(sorted(map(phi.__getitem__, cls.repeated))),
             histogram=dict(cls.histogram)))
         for elems, (cls, phi) in sorted(images.items())
     )
@@ -438,7 +438,7 @@ def test_each_orbit_is_expanded_once_and_every_find_is_classified(spec, raw_find
     # A find whose orbit was already expanded still has its verdict checked.
     def refute_last_repeat(cand):
         cls = classify_set(cand)
-        refuted = dataclasses.replace(cls, verdict=NON_COVERING)
+        refuted = cls._replace(verdict=NON_COVERING)
         return refuted if cand.elements == repeated[-1] else cls
 
     monkeypatch.setattr(search, "classify_set", refute_last_repeat)
