@@ -29,6 +29,9 @@ class Group:
     the index of the inverse of g.  ``generators`` names distinguished
     elements (set by :func:`build_semidirect` for the word syntax); being a
     dict, it is left out of the hash, so equal groups still hash equal.
+    ``_associative`` is set only by :func:`parse_cayley_table`, on a table that
+    passed Light's test; the constructor and ``dataclasses.replace`` leave it
+    False, and it takes no part in equality, hash or repr.
     """
 
     order: int
@@ -38,6 +41,7 @@ class Group:
     element_orders: tuple[int, ...]
     name: str
     generators: dict[str, int] | None = field(default=None, hash=False)
+    _associative: bool = field(default=False, init=False, compare=False, repr=False)
 
     def involutions(self) -> tuple[int, ...]:
         return tuple(g for g in range(self.order) if self.element_orders[g] == 2)
@@ -162,7 +166,8 @@ def build_semidirect(m: int, n: int, k: int) -> Group:
 def format_cayley_table(g: Group) -> str:
     """Serialize a group in the Cayley-table file format."""
     lines = [f"# {g.name}", str(g.order)]
-    lines.extend(" ".join(str(x) for x in row) for row in g.mul)
+    labels = [str(x) for x in range(g.order)]
+    lines.extend(" ".join([labels[x] for x in row]) for row in g.mul)
     return "\n".join(lines) + "\n"
 
 
@@ -285,13 +290,14 @@ def parse_cayley_table(text: str, name: str = "loaded") -> Group:
     _check_order(n)
     if len(lines) - 1 != n:
         raise ValidationError(f"expected {n} table rows, found {len(lines) - 1}")
-    index = {str(v): v for v in range(n)}.__getitem__
+    index = {str(v): v for v in range(n)}
     mul: list[tuple[int, ...]] = []
     for i, row in enumerate(map(str.split, lines[1:])):
         if len(row) != n:
             raise ValidationError(f"row {i} has {len(row)} entries, expected {n}")
         try:
-            mul.append(tuple(map(index, row)))
+            cells = operator.itemgetter(*row)(index)  # a scalar when n == 1
+            mul.append(cells if n > 1 else (cells,))
             continue
         except KeyError:  # '01', another script's digits, or a bad cell to name
             pass
@@ -324,8 +330,9 @@ def parse_cayley_table(text: str, name: str = "loaded") -> Group:
             new[at_0], new[at_e] = e, 0
             mul[i] = tuple(new)
     mul_t = tuple(mul)
-    inv = _inverses(mul_t)
-    return Group(n, mul_t, inv, _is_abelian(mul_t), _element_orders(mul_t), name)
+    group = Group(n, mul_t, _inverses(mul_t), _is_abelian(mul_t), _element_orders(mul_t), name)
+    object.__setattr__(group, "_associative", True)
+    return group
 
 
 def load_cayley_table(path: str | Path) -> Group:
@@ -338,9 +345,11 @@ def load_cayley_table(path: str | Path) -> Group:
 
 
 def validate_group(g: Group) -> GroupReport:
-    """Re-check every Group axiom from the raw table and summarize structure.  As in
+    """Re-check the Group axioms from the raw table and summarize structure.  As in
     parse_cayley_table, neither rows nor columns are scanned once the identity,
-    associativity and inverses hold: such a table is a group's, and Latin."""
+    associativity and inverses hold: such a table is a group's, and Latin.  A group
+    that parse_cayley_table returned passed Light's test there, on the same immutable
+    table: its associativity and ``abelian`` flag are taken from the reader's checks."""
     axioms: dict[str, bool] = {}
     first_failure: str | None = None
 
@@ -351,7 +360,7 @@ def validate_group(g: Group) -> GroupReport:
             first_failure = detail
 
     ident_ok = g.order > 0 and all(g.mul[0][x] == x and g.mul[x][0] == x for x in range(g.order))
-    triple = _find_associativity_violation(g.mul, 0 if ident_ok else None)
+    triple = None if g._associative else _find_associativity_violation(g.mul, 0 if ident_ok else None)
     inv_ok = all(g.mul[x][g.inv[x]] == 0 and g.mul[g.inv[x]][x] == 0 for x in range(g.order))
     cell = None if ident_ok and triple is None and inv_ok else _find_latin_violation(g.mul)
     record("latin_square", cell is None, f"duplicate at cell {cell}" if cell else "")
@@ -364,7 +373,7 @@ def validate_group(g: Group) -> GroupReport:
         order=g.order,
         ok=all(axioms.values()),
         axioms=axioms,
-        abelian=_is_abelian(g.mul),
+        abelian=g.abelian if g._associative else _is_abelian(g.mul),
         order_histogram=dict(sorted(Counter(g.element_orders).items())),
         involutions=g.involutions(),
         first_failure=first_failure,

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from bigraphds import bigraph, bounds, ledger, search
+from bigraphds import bigraph, bounds, groups, ledger, search
 from bigraphds.cli import main
 from bigraphds.diffsets import NON_COVERING
 from bigraphds.errors import InternalError, UsageError
@@ -113,6 +113,27 @@ def test_graph_that_fails_its_biregularity_check_exits_5(monkeypatch, capsys):
     envelope = json.loads(capsys.readouterr().out)
     assert envelope["exit_code"] == 5 and envelope["error"]["type"] == "InternalError"
     assert "not biregular at vertex 3" in envelope["error"]["message"] and "payload" not in envelope
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_a_group_that_fails_its_re_check_exits_5(as_json, monkeypatch, capsys):
+    # validate-group sees only builder groups and tables the reader accepted: a failed
+    # re-check is a fault of the package, not a report to print with exit 0
+    real = groups.validate_group
+    failed = lambda g: real(g)._replace(
+        ok=False, axioms={**real(g).axioms, "associativity": False},
+        first_failure="violated at triple (1, 2, 3)")
+    monkeypatch.setattr(groups, "validate_group", failed)
+    argv = ["validate-group", "--group", "cyclic:5", *(["--json"] if as_json else [])]
+    assert main(argv) == 5
+    out, err = capsys.readouterr()
+    message = "Z5 fails its re-check: violated at triple (1, 2, 3)"
+    if as_json:
+        envelope = json.loads(out)
+        assert envelope["exit_code"] == 5 and envelope["error"]["type"] == "InternalError"
+        assert envelope["error"]["message"] == message and "payload" not in envelope
+    else:
+        assert "FAILED" not in out and message in err
 
 
 def test_run_check_of_an_unknown_name_is_a_usage_error():

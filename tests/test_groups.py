@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import os
@@ -855,3 +856,83 @@ def broken_group_tables(draw):
 def test_column_shortcut_matches_the_full_scan_first_on_broken_group_tables(table):
     assert all(len(set(row)) == len(row) for row in table)
     assert_same_verdicts_as_the_full_scan_first(table)
+
+
+# --- the reader's certificate: a table it accepted is tested for associativity
+# once; every other group, edited copies included, gets the full test ------------
+
+
+def oracle_format_cayley_table(g):
+    """format_cayley_table as first written: str() per cell."""
+    lines = [f"# {g.name}", str(g.order)]
+    lines.extend(" ".join(str(x) for x in row) for row in g.mul)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("g", [build_cyclic(1), build_cyclic(2), build_semidirect(3, 4, 2),
+                               build_semidirect(100, 4, 7)], ids=lambda g: g.name)
+def test_format_cayley_table_matches_the_per_cell_oracle(g):
+    assert format_cayley_table(g) == oracle_format_cayley_table(g)
+
+
+def parsed_with_the_identity_moved(g, seed):
+    rng = random.Random(seed)
+    while True:
+        rows = relabeled_rows(g, rng)
+        if rows[0] != list(range(g.order)):     # the identity has left index 0
+            return parse_cayley_table(table_text(rows), name="t")
+
+
+@pytest.mark.parametrize("g", [build_cyclic(2), build_cyclic(12), build_semidirect(5, 8, 2),
+                               build_semidirect(100, 4, 7)], ids=lambda g: g.name)
+def test_an_accepted_table_is_not_tested_for_associativity_again(g, monkeypatch):
+    parsed = parsed_with_the_identity_moved(g, 11)
+
+    def rescan(*args):
+        raise AssertionError("an accepted table was re-checked")
+
+    monkeypatch.setattr(groups, "_find_associativity_violation", rescan)
+    monkeypatch.setattr(groups, "_is_abelian", rescan)
+    report = validate_group(parsed)
+    assert report.ok and report.abelian == g.abelian
+    assert repr(report) == repr(oracle_validate_group(parsed))
+
+
+def swapped_intercalate(mul, i=1, j=1):
+    """Z_n's table with the intercalate at rows i, i+n/2 and columns j, j+n/2 swapped:
+    still Latin with identity 0, and not associative."""
+    n, rows = len(mul), [list(r) for r in mul]
+    for r, c in ((i, j), (i, j + n // 2), (i + n // 2, j), (i + n // 2, j + n // 2)):
+        rows[r][c] = (rows[r][c] + n // 2) % n
+    return tuple(map(tuple, rows))
+
+
+def test_edited_and_rebuilt_copies_of_a_parsed_group_get_the_full_test(monkeypatch):
+    parsed = parse_cayley_table(format_cayley_table(build_cyclic(12)), name="t")
+    broken = swapped_intercalate(parsed.mul)
+    fields = {f.name: getattr(parsed, f.name) for f in dataclasses.fields(Group) if f.init}
+    copies = [dataclasses.replace(parsed, mul=broken), Group(**{**fields, "mul": broken}),
+              Group(**fields)]
+    calls = []
+    real = groups._find_associativity_violation
+    monkeypatch.setattr(groups, "_find_associativity_violation",
+                        lambda *args: calls.append(args) or real(*args))
+    for copy in copies:
+        assert not copy._associative
+        report = validate_group(copy)
+        assert repr(report) == repr(oracle_validate_group(copy))
+        if copy.mul is broken:
+            assert report.axioms["associativity"] is False
+            assert report.first_failure == f"violated at triple {oracle_light_test(broken)}"
+    assert len(calls) == len(copies)
+    assert validate_group(copies[2]).ok
+
+
+def test_a_parsed_group_equals_and_hashes_as_the_same_group_built_by_hand():
+    for g in (build_cyclic(1), build_semidirect(5, 8, 2)):
+        parsed = parsed_with_the_identity_moved(g, 3) if g.order > 1 else \
+            parse_cayley_table("1\n0\n", name="t")
+        plain = Group(parsed.order, parsed.mul, parsed.inv, parsed.abelian,
+                      parsed.element_orders, parsed.name)
+        assert parsed._associative and not plain._associative
+        assert parsed == plain and hash(parsed) == hash(plain) and repr(parsed) == repr(plain)
