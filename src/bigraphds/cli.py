@@ -21,14 +21,6 @@ def _require(cond: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def _workers(args) -> int:
-    """``--workers``, which must be >= 1, else the CPU count."""
-    if args.workers is None:
-        return os.cpu_count() or 1
-    _require(args.workers >= 1, f"--workers must be >= 1, got {args.workers}")
-    return args.workers
-
-
 # Payload keys that differ from the names of the record fields they hold.
 _RENAMED = {"elements": "set", "group_name": "group", "lam": "lambda", "poly_used": "poly"}
 
@@ -166,12 +158,10 @@ def _cmd_graph(args) -> tuple[dict, str, int]:
 def _cmd_search(args) -> tuple[dict, str, int]:
     _require(args.size >= 2, f"--size must be >= 2, got {args.size}")
     _require(args.limit is None or args.limit >= 1, f"--limit must be >= 1, got {args.limit}")
-    workers = _workers(args)
     config = search.SearchConfig(
         group=groups.parse_group_spec(args.group),
         size=args.size,
         require_inverse_covering=args.require_inverse_covering,
-        worker_count=workers,
     )
     run = search.exists_covering_set if args.exists_only else search.enumerate_covering_sets
     out = run(config)
@@ -197,11 +187,13 @@ def _cmd_search(args) -> tuple[dict, str, int]:
 
 def _cmd_sweep(args) -> tuple[dict, str, int]:
     _require(args.size >= 2, f"--size must be >= 2, got {args.size}")
+    _require(args.workers is None or args.workers >= 1,
+             f"--workers must be >= 1, got {args.workers}")
     rows = search.sweep_family(
         args.groups,
         args.size,
+        workers=args.workers or os.cpu_count() or 1,
         require_inverse_covering=args.require_inverse_covering,
-        worker_count=_workers(args),
     )
     payload = {"size": args.size, "results": _jsonable(rows)}
     lines = []
@@ -229,7 +221,7 @@ def _cmd_validate_group(args) -> tuple[dict, str, int]:
 
 
 def _cmd_repro(args) -> tuple[dict, str, int]:
-    results = ledger.run(full=args.full, workers=_workers(args))
+    results = ledger.run(full=args.full)
     all_ok = all(r.ok for r in results)
     lines = [f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}" for r in results]
     lines.append("all checks passed" if all_ok else "SOME CHECKS FAILED")
@@ -294,14 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exists-only", action="store_true")
     p.add_argument("--limit", type=int,
                    help="keep the first N sets; the search still runs to the end")
-    p.add_argument("--workers", type=int)
     add_json(p)
 
     p = sub.add_parser("sweep", help="exists-search over a family of groups")
     p.add_argument("--groups", nargs="+", required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--require-inverse-covering", action="store_true")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, help="processes, one group each (default: the CPU count)")
     add_json(p)
 
     p = sub.add_parser("validate-group", help="re-check the group axioms of a spec")
@@ -310,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro", help="run the reproduction checks and print a ledger")
     p.add_argument("--full", action="store_true", help="include the exhaustive searches")
-    p.add_argument("--workers", type=int)
     add_json(p)
 
     return parser

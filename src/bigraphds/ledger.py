@@ -1,8 +1,8 @@
 """The reproduction ledger: one executable check per published result.
 
 ``CHECKS`` lists every check as ``(name, check, full_only)`` in the order
-``bigraphds repro`` prints them.  A check returns ``(ok, detail)``; the
-full-only checks are the exhaustive searches and take the worker count.
+``bigraphds repro`` prints them.  A check takes no argument and returns
+``(ok, detail)``; the full-only checks are the exhaustive searches.
 The CLI and the acceptance tests both run these checks, so each fact about
 the paper is stated once, here.
 """
@@ -182,9 +182,9 @@ def _gamma1() -> tuple[bool, str]:
     return True, "ADS(40,7,1,36); doubled = b^4 + inverse pair; G_2 has 120 vertices, (14,7), diameter 3"
 
 
-def _abelian_searches(workers: int) -> tuple[bool, str]:
+def _abelian_searches() -> tuple[bool, str]:
     for group in map(groups.parse_group_spec, ("cyclic:42", "cyclic:41", *ABELIAN_ORDER40)):
-        out = search.enumerate_covering_sets(search.SearchConfig(group, 7, worker_count=workers))
+        out = search.enumerate_covering_sets(search.SearchConfig(group, 7))
         if out.found or not out.exhausted or out.wall_time_ms >= SEARCH_BUDGET_MS:
             return False, (
                 f"{group.name}: found {len(out.found)}, exhausted={out.exhausted}, {out.wall_time_ms} ms"
@@ -192,9 +192,9 @@ def _abelian_searches(workers: int) -> tuple[bool, str]:
     return True, "orders 42, 41, 40 (all Abelian groups) exhausted with zero finds, each within budget"
 
 
-def _z39_enumeration(workers: int) -> tuple[bool, str]:
+def _z39_enumeration() -> tuple[bool, str]:
     group = groups.build_cyclic(39)
-    out = search.enumerate_covering_sets(search.SearchConfig(group, 7, worker_count=workers))
+    out = search.enumerate_covering_sets(search.SearchConfig(group, 7))
     if out.wall_time_ms >= SEARCH_BUDGET_MS:
         return False, f"Z39 enumeration took {out.wall_time_ms} ms"
     if not out.exhausted or Z39_WITNESS not in [f.elements for f in out.found]:
@@ -204,19 +204,17 @@ def _z39_enumeration(workers: int) -> tuple[bool, str]:
     return True, f"{len(out.found)} covering sets found, including the published one"
 
 
-def _nonabelian_sweep(workers: int) -> tuple[bool, str]:
-    rows = search.sweep_family(NONABELIAN_ORDER42, 7, worker_count=workers)
+def _nonabelian_sweep() -> tuple[bool, str]:
+    rows = search.sweep_family(NONABELIAN_ORDER42, 7)
     bad = [row.spec for row in rows if row.found is not False or row.wall_time_ms >= SEARCH_BUDGET_MS]
     if bad:
         return False, f"unexpected outcome for {bad}"
     return True, "all five non-Abelian order-42 groups have no covering 7-set"
 
 
-def _gamma1_search(workers: int) -> tuple[bool, str]:
+def _gamma1_search() -> tuple[bool, str]:
     out = search.exists_covering_set(
-        search.SearchConfig(
-            groups.build_semidirect(5, 8, 2), 7, require_inverse_covering=True, worker_count=workers
-        )
+        search.SearchConfig(groups.build_semidirect(5, 8, 2), 7, require_inverse_covering=True)
     )
     if not out.found or out.wall_time_ms >= SEARCH_BUDGET_MS:
         return False, f"no covering set with covering inverse found within budget ({out.wall_time_ms} ms)"
@@ -242,13 +240,13 @@ CHECKS = (
 )
 
 
-def run_check(name: str, workers: int = 1) -> CheckResult:
+def run_check(name: str) -> CheckResult:
     """Run one named check; a crash counts as a failed check, an InternalError propagates."""
-    check, full_only = next(((c, f) for n, c, f in CHECKS if n == name), (None, False))
+    check = next((c for n, c, _ in CHECKS if n == name), None)
     if check is None:
         raise UsageError(f"unknown check {name!r}")
     try:
-        ok, detail = check(workers) if full_only else check()
+        ok, detail = check()
     except InternalError:
         raise
     except Exception as exc:  # noqa: BLE001 - a crash is a failed check
@@ -256,6 +254,6 @@ def run_check(name: str, workers: int = 1) -> CheckResult:
     return CheckResult(name, ok, detail)
 
 
-def run(full: bool = False, workers: int = 1) -> list[CheckResult]:
+def run(full: bool = False) -> list[CheckResult]:
     """Every check in ledger order; the full-only searches only when ``full``."""
-    return [run_check(name, workers) for name, _, full_only in CHECKS if full or not full_only]
+    return [run_check(name) for name, _, full_only in CHECKS if full or not full_only]

@@ -53,14 +53,13 @@ search stops.  Aut(G) is found as Stab(1) and one r_c per image c of 1 (Sims
 
 Work is partitioned by the third element: partition K holds the anchored
 sets whose third element is K + 1, for K = 1..n-s+1 (for size 2 the only
-partition is (0, 1)).  Partitions are searched in order; with more workers,
-past FAN_OUT_NODES nodes a pool gets every later partition and the rest of
-the current one, split between fourth elements.  Results merge in partition
-order, so output is deterministic for any worker count.
+partition is (0, 1)).  Partitions are searched in order, in one process,
+from partition 1 to the end or, for an existence search, to the first find.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -75,6 +74,13 @@ from .groups import Group, automorphisms, parse_group_spec
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """One search: a group, the set size, and whether the inverse set must cover too.
+
+    No search reads ``worker_count``: each runs in the calling process.  It is
+    still validated (>= 1) because the benchmark's workloads pass it; ROADMAP
+    item 9d drops that last caller, and then the field goes.
+    """
+
     group: Group
     size: int
     require_inverse_covering: bool = False
@@ -118,8 +124,6 @@ class SearchOutcome(NamedTuple):
     coset_pruned_by_depth: tuple[int, ...] = ()
     # The index of the quotient that decided the search at the root or pruned it.
     quotient_index: int | None = None
-    # The partition and first fourth element handed to the pool; None inline.
-    fan_out: tuple[int, int] | None = None
     # |Aut(G)| when the orbit rule ran; None past the cap or at the root.
     automorphisms: int | None = None
 
@@ -134,24 +138,10 @@ class SweepRow(NamedTuple):
     wall_time_ms: int
 
 
-# Per-process search state, installed by the searching process and the pool
-# initializer: (pair classes, differences dt[x][t] = x t^-1, n, s, slack, stop_after_first,
-# require_inverse, excess0, orbit table or None, coset of each element, number of
-# cosets, coset automaton), and the pool's shared stop flag (None inline).
-_STATE: tuple | None = None
-_HALT = None
-
 # Past this many image cells (automorphisms times order) keep translations only.
 AUTOMORPHISM_CELLS = 2_000_000
-# With more workers, a search starts its pool past this many nodes (about 50 ms at s = 9).
-FAN_OUT_NODES = 50_000
 # Past this many count vectors, C(s + d - 1, d - 1), a quotient of index d is left out.
 QUOTIENT_VECTORS = 3000
-
-
-def _set_state(state: tuple, halt=None) -> None:
-    global _STATE, _HALT
-    _STATE, _HALT = state, halt
 
 
 def _inverse_is_covering(elems: tuple[int, ...], dt, n: int) -> bool:
@@ -160,43 +150,28 @@ def _inverse_is_covering(elems: tuple[int, ...], dt, n: int) -> bool:
     return len(covered) == n - 1
 
 
-def _search_partition(unit: tuple[int, int], budget: int | None = None) -> tuple:
-    """Search the anchored sets (0, 1, k + 1, x, ...), x >= first, of the unit
-    (k, first); for size 2, the set (0, 1).  A unit past k + 2 continues a
-    partition, whose first unit counted the forced prefix and fourth elements.
+def _search_partition(state: tuple, k: int) -> tuple:
+    """Search the anchored sets (0, 1, k + 1, ...) of partition k; for size 2, the set (0, 1).
 
-    Returns the finds in lexicographic order, the examined, pruned,
-    orbit-pruned and coset-pruned counts indexed by the size of the candidate
-    set, and None, or the first fourth element left once budget nodes were
-    examined.
+    state is _run's search state: (pair classes, differences dt[x][t] = x t^-1,
+    n, s, slack, stop_after_first, require_inverse, excess0, orbit table or
+    None, coset of each element, number of cosets, coset automaton).  Returns
+    the finds in lexicographic order and the examined, pruned, orbit-pruned and
+    coset-pruned counts indexed by the size of the candidate set.
     """
-    k, first = unit
     (pair, dt, n, s, slack, stop_after_first, require_inverse, excess0, orbit,
-     coset, d, step) = _STATE
-    halt = _HALT
+     coset, d, step) = state
     examined, pruned, orbit_pruned, coset_pruned = tallies = [[0] * (s + 1) for _ in range(4)]
     finds: list[tuple[int, ...]] = []
-    rest = None
     counts = [0] * n
     partial = [0]
     # The elements tried at each of these sizes are fixed: the anchor 1, this
-    # partition's third element, then the fourth elements from first on.
-    fixed = (None, (1,), (k + 1,), range(first, n - s + 4))[:s]
+    # partition's third element, then the fourth elements.
+    fixed = (None, (1,), (k + 1,), range(k + 2, n - s + 4))[:s]
 
-    def pause(x: int) -> bool:
-        """Stop once the pool is halted, or past the budget before fourth element x + 1."""
-        nonlocal rest
-        if halt is not None:
-            return bool(halt.value)
-        rest = x + 1 if budget is not None and sum(examined) >= budget else None
-        return rest is not None
-
-    if pause(first - 1):
-        return finds, tallies, rest
-
-    def extend(excess: int, domain: list[int], state: int) -> bool:
+    def extend(excess: int, domain: list[int], q: int) -> bool:
         size = len(partial)
-        last, base = n - s + size, state * d
+        last, base = n - s + size, q * d
         # Past the fourth element, the parent frame passed all but last on the older triples.
         newer = () if orbit is None else partial[-1:] if size > 3 else partial[1:]
         ex = pr = op = cp = 0
@@ -239,7 +214,7 @@ def _search_partition(unit: tuple[int, int], budget: int | None = None) -> tuple
                 pr += 1
             elif size + 1 < s:
                 partial.append(x)
-                stop = extend(exc, live[i + 1:], step[base + coset[x]]) or (size == 3 and pause(x))
+                stop = extend(exc, live[i + 1:], step[base + coset[x]])
                 partial.pop()
             else:
                 elems = (*partial, x)
@@ -258,10 +233,7 @@ def _search_partition(unit: tuple[int, int], budget: int | None = None) -> tuple
         return stop
 
     extend(excess0, [], step[0])
-    if first > k + 2:
-        for tally in tallies:
-            tally[2] = tally[3] = tally[4] = 0
-    return finds, tallies, rest
+    return finds, tallies
 
 
 def _orbit_table(dt: list[list[int]], stab: list, reps: list) -> list[list[int]]:
@@ -424,23 +396,13 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
     n, s = group.order, config.size
     slack = s * (s - 1) - (n - 1)
     quotient_index, coset, step = _coset_rule(group, s, slack)
-    todo = [] if step is None else list(range(1, config.partitions + 1))
 
     raw_finds: list[tuple[int, ...]] = []
     # Examined, pruned, orbit- and coset-pruned nodes, indexed by the candidate's size.
     totals = [[0] * (s + 1) for _ in range(4)]
     # Aut(G) as Stab(1) and the r_c, c in the orbit of 1, when the orbit rule runs.
     stab, reps, orbit = [range(n)], [range(n)], None
-    fan_out = None                 # the first unit handed to the pool
-
-    def consume(result: tuple) -> bool:
-        finds, tallies, _ = result
-        for total, tally in zip(totals, tallies):
-            total[:] = map(sum, zip(total, tally))
-        raw_finds.extend(finds)
-        return stop_on_find and bool(raw_finds)
-
-    if todo:
+    if step is not None:  # else the root test decided the search
         # One gather per row; n >= 2, so every itemgetter returns a tuple.
         dt = list(map(operator.itemgetter(*group.inv), group.mul))
         # pair[x][t]: the class of x t^-1 and t x^-1, named by the lesser.
@@ -456,34 +418,13 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
             orbit = _orbit_table(dt, stab, reps)
         state = (pair, dt, n, s, slack, stop_on_find, config.require_inverse_covering,
                  len(group.involutions()), orbit, coset, max(coset) + 1, step)
-        # Search inline until FAN_OUT_NODES nodes, then hand the rest of the
-        # current partition and every later one to the pool.
-        _set_state(state)
-        for i, k in enumerate(todo):
-            parallel = config.worker_count > 1 and i + 1 < len(todo)
-            budget = FAN_OUT_NODES - sum(totals[0]) if parallel else None
-            result = _search_partition((k, k + 2), budget)
-            if consume(result):
+        for k in range(1, config.partitions + 1):
+            finds, tallies = _search_partition(state, k)
+            for total, tally in zip(totals, tallies):
+                total[:] = map(sum, zip(total, tally))
+            raw_finds.extend(finds)
+            if stop_on_find and raw_finds:
                 break
-            if result[2] is not None:
-                fan_out = (k, result[2])
-                break
-        if fan_out:
-            units = [fan_out] + [(j, j + 2) for j in todo[i + 1 :]]
-            workers = min(config.worker_count, len(units))
-            import multiprocessing  # only a fanned-out search pays for the import
-            halt = multiprocessing.RawValue("b", 0)
-            pool = multiprocessing.Pool(workers, initializer=_set_state, initargs=(state, halt))
-            try:
-                for result in pool.imap(_search_partition, units, chunksize=1):
-                    if consume(result):
-                        break
-            finally:
-                # Stop cooperatively and never terminate(): killing a worker
-                # that holds the result queue's lock hangs the pool's shutdown.
-                halt.value = 1
-                pool.close()
-                pool.join()
 
     # An existence search that stopped at its witness left the rest unsearched.
     exhausted = not (stop_on_find and raw_finds)
@@ -522,7 +463,6 @@ def _run(config: SearchConfig, stop_on_find: bool) -> SearchOutcome:
         orbit_pruned_by_depth=tuple(totals[2]),
         coset_pruned_by_depth=tuple(totals[3]),
         quotient_index=quotient_index,
-        fan_out=fan_out,
         automorphisms=len(stab) * len(reps) if orbit is not None else None,
     )
 
@@ -537,41 +477,51 @@ def exists_covering_set(config: SearchConfig) -> SearchOutcome:
     return _run(config, stop_on_find=True)
 
 
-def sweep_family(specs, size: int, **config_kwargs) -> list[SweepRow]:
-    """Run exists_covering_set over a family of group specs.
+def _sweep_row(spec: str, size: int, config_kwargs: dict) -> SweepRow:
+    """The existence search over one spec as a sweep row, or its error row."""
+    t0 = time.monotonic()
+    try:
+        group = parse_group_spec(spec)
+        outcome = exists_covering_set(SearchConfig(group, size, **config_kwargs))
+        witness = outcome.found[0].elements if outcome.found else None
+        return SweepRow(
+            spec=spec,
+            group_name=group.name,
+            found=bool(outcome.found),
+            witness=witness,
+            error=None,
+            error_code=None,
+            wall_time_ms=outcome.wall_time_ms,
+        )
+    except (UsageError, ValidationError, CapacityError) as exc:
+        return SweepRow(
+            spec=spec,
+            group_name=None,
+            found=None,
+            witness=None,
+            error=str(exc),
+            error_code=exc.exit_code,
+            wall_time_ms=int((time.monotonic() - t0) * 1000),
+        )
 
-    A bad spec, invalid configuration or oversized group becomes an error row
-    and the sweep goes on; any other error propagates.
+
+def sweep_family(specs, size: int, workers: int = 1, **config_kwargs) -> list[SweepRow]:
+    """Run exists_covering_set over a family of group specs, in spec order.
+
+    With workers > 1, up to that many processes each take whole specs.  A bad
+    spec, invalid configuration or oversized group becomes an error row and
+    the sweep goes on; any other error propagates, and a worker that dies is
+    an InternalError.
     """
-    rows = []
-    for spec in specs:
-        t0 = time.monotonic()
-        try:
-            group = parse_group_spec(spec)
-            outcome = exists_covering_set(SearchConfig(group, size, **config_kwargs))
-            witness = outcome.found[0].elements if outcome.found else None
-            rows.append(
-                SweepRow(
-                    spec=spec,
-                    group_name=group.name,
-                    found=bool(outcome.found),
-                    witness=witness,
-                    error=None,
-                    error_code=None,
-                    wall_time_ms=outcome.wall_time_ms,
-                )
-            )
-        except (UsageError, ValidationError, CapacityError) as exc:
-            rows.append(
-                SweepRow(
-                    spec=spec,
-                    group_name=None,
-                    found=None,
-                    witness=None,
-                    error=str(exc),
-                    error_code=exc.exit_code,
-                    wall_time_ms=int((time.monotonic() - t0) * 1000),
-                )
-            )
-    return rows
+    specs = list(specs)
+    row = functools.partial(_sweep_row, size=size, config_kwargs=config_kwargs)
+    if workers < 2 or len(specs) < 2:
+        return list(map(row, specs))
+    # Only a parallel sweep pays for the import.
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
+    try:
+        with ProcessPoolExecutor(min(workers, len(specs))) as pool:
+            return list(pool.map(row, specs))
+    except BrokenProcessPool as exc:
+        raise InternalError(f"a sweep worker died: {exc}") from exc

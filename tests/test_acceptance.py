@@ -10,7 +10,6 @@ brute force of criterion 9 is also the search tests' oracle.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 
 from bigraphds import ledger
@@ -18,8 +17,6 @@ from bigraphds.bigraph import build_difference_graph, diameter
 from bigraphds.diffsets import CandidateSet, classify_set
 from bigraphds.groups import build_cyclic
 from bigraphds.search import SearchConfig, enumerate_covering_sets
-
-WORKERS = min(os.cpu_count() or 1, 8)
 
 
 def _record(num: int, ok: bool, detail: str, elapsed: float, budget: float) -> None:
@@ -38,7 +35,7 @@ def _ledger_criterion(num: int, names: list[str], budget: float, check_budgets=N
     ok, details = True, []
     for name in names:
         t_check = time.perf_counter()
-        result = ledger.run_check(name, WORKERS)
+        result = ledger.run_check(name)
         elapsed = time.perf_counter() - t_check
         limit = (check_budgets or {}).get(name)
         within = limit is None or elapsed < limit

@@ -162,7 +162,7 @@ def test_graph_export_stdout_is_loadable(capsys):
 def test_search_command_json(capsys):
     code, env = run_json(
         capsys,
-        ["search", "--group", "cyclic:7", "--size", "3", "--workers", "1"],
+        ["search", "--group", "cyclic:7", "--size", "3"],
     )
     assert code == 0
     payload = env["payload"]
@@ -174,14 +174,14 @@ def test_search_command_json(capsys):
 def test_search_exists_only(capsys):
     code, env = run_json(
         capsys,
-        ["search", "--group", "cyclic:6", "--size", "3", "--exists-only", "--workers", "1"],
+        ["search", "--group", "cyclic:6", "--size", "3", "--exists-only"],
     )
     assert code == 0
     assert env["payload"]["found"][0]["set"] == [0, 1, 3]
 
 
 def test_search_deterministic_payload(capsys):
-    argv = ["search", "--group", "cyclic:13", "--size", "4", "--workers", "1"]
+    argv = ["search", "--group", "cyclic:13", "--size", "4"]
     _, env1 = run_json(capsys, argv)
     _, env2 = run_json(capsys, argv)
     env1["payload"].pop("wall_time_ms")
@@ -227,14 +227,14 @@ def test_help_mentions_all_commands(capsys):
 def test_python_dash_m_runs_the_cli():
     env = {**os.environ, "PYTHONPATH": str(Path(bigraphds.__file__).parents[1])}
     argv = [sys.executable, "-m", "bigraphds", "search", "--group", "cyclic:7", "--size", "3",
-            "--workers", "1", "--json"]
+            "--json"]
     out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["payload"]["found"][0]["set"] == [0, 1, 3]
 
 
 def test_search_limit_keeps_the_first_sets_in_order(capsys):
-    argv = ["search", "--group", "cyclic:21", "--size", "5", "--workers", "1"]
+    argv = ["search", "--group", "cyclic:21", "--size", "5"]
     _, full = run_json(capsys, argv)
     _, limited = run_json(capsys, argv + ["--limit", "3"])
     assert limited["payload"]["found"] == full["payload"]["found"][:3]
@@ -247,8 +247,7 @@ def test_search_limit_keeps_the_first_sets_in_order(capsys):
 
 def test_closed_stdout_pipe_exits_quietly():
     env = {**os.environ, "PYTHONPATH": str(Path(bigraphds.__file__).parents[1])}
-    argv = [sys.executable, "-m", "bigraphds", "search", "--group", "cyclic:39", "--size", "7",
-            "--workers", "1"]
+    argv = [sys.executable, "-m", "bigraphds", "search", "--group", "cyclic:39", "--size", "7"]
     read_end, write_end = os.pipe()
     os.close(read_end)  # every write to the pipe now fails with EPIPE
     try:

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import bigraphds
 from bigraphds import bigraph, bounds, groups, ledger, search
 from bigraphds.cli import main
 from bigraphds.diffsets import NON_COVERING
@@ -78,18 +83,63 @@ def test_sweep_of_a_non_utf8_table_is_a_validation_error(tmp_path, capsys):
     assert [row["error_code"] for row in envelope["payload"]["results"]] == [3, None]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["search", "--group", "cyclic:7", "--size", "3"],
-        ["sweep", "--groups", "cyclic:7", "--size", "3"],
-        ["repro", "--full"],
-    ],
-    ids=lambda argv: argv[0],
-)
+@pytest.mark.parametrize("argv", [["sweep", "--groups", "cyclic:7", "--size", "3"]],
+                         ids=lambda argv: argv[0])
 def test_zero_workers_is_usage_error(argv, capsys):
     assert main([*argv, "--workers", "0"]) == 2
     assert "--workers must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["search", "--group", "cyclic:7", "--size", "3"], ["repro", "--full"]],
+                         ids=lambda argv: argv[0])
+def test_search_and_repro_reject_workers(argv, capsys):
+    # A search runs in one process; only sweep spreads whole groups over workers.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--workers", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 1" in capsys.readouterr().err
+
+
+# Run as a script, so that a worker started by any method (fork, spawn or
+# forkserver) has the fault planted: its top level runs again in a spawned worker.
+SWEEP_FAULT = """
+import os, sys
+from bigraphds import search
+from bigraphds.cli import main
+from bigraphds.errors import InternalError
+
+def planted(config):
+    if config.group.order == 12:
+        {fault}
+    return search_group(config)
+
+search_group, search.exists_covering_set = search.exists_covering_set, planted
+
+if __name__ == "__main__":
+    try:
+        search.sweep_family(["cyclic:6", "cyclic:12"], 3, workers=2)
+    except InternalError as exc:
+        print(f"caught: {{exc}}", file=sys.stderr)
+    sys.exit(main(["sweep", "--groups", "cyclic:6", "cyclic:12", "--size", "3", "--workers", "2",
+                   "--json"]))
+"""
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("os._exit(1)", "a sweep worker died: "),
+    ("raise InternalError('planted fault')", "planted fault"),
+], ids=["dead-worker", "internal-error"])
+def test_a_failed_sweep_worker_exits_5(fault, message, tmp_path):
+    # A worker that dies must end the sweep, not hang it; the timeout turns a hang into a failure.
+    script = tmp_path / "sweep_fault.py"
+    script.write_text(SWEEP_FAULT.format(fault=fault), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(bigraphds.__file__).parents[1])}
+    out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 5, out.stderr
+    assert f"caught: {message}" in out.stderr
+    error = json.loads(out.stdout)["error"]
+    assert error["type"] == "InternalError" and error["message"].startswith(message)
 
 
 def test_repro_internal_error_exits_5(monkeypatch, capsys):
@@ -101,7 +151,7 @@ def test_repro_internal_error_exits_5(monkeypatch, capsys):
     )
     with pytest.raises(InternalError):
         ledger.run_check("z6-doubled-element-is-the-involution")
-    assert main(["repro", "--workers", "1"]) == 5
+    assert main(["repro"]) == 5
     assert "non-covering set" in capsys.readouterr().err
 
 

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import dataclasses
+import concurrent.futures.process
 import itertools
 import json
-import multiprocessing
-import multiprocessing.pool
 import operator
 import random
 import re
@@ -18,7 +16,7 @@ from hypothesis import strategies as st
 
 from bigraphds.diffsets import NON_COVERING, PERFECT, CandidateSet, classify_set, inverse_set
 from bigraphds import groups, search
-from bigraphds.errors import InternalError, ValidationError
+from bigraphds.errors import InternalError, UsageError, ValidationError
 from bigraphds.groups import (
     automorphisms,
     build_cyclic,
@@ -121,16 +119,6 @@ def test_canonical_results_cover_unrestricted_search():
             assert translated in canonical
 
 
-def test_multiworker_determinism():
-    group = build_cyclic(21)
-    solo = enumerate_covering_sets(SearchConfig(group, 5, worker_count=1))
-    duo = enumerate_covering_sets(SearchConfig(group, 5, worker_count=2))
-    assert [f.elements for f in solo.found] == [f.elements for f in duo.found]
-    assert solo.candidates_examined == duo.candidates_examined
-    assert solo.candidates_pruned == duo.candidates_pruned
-    assert (0, 1, 4, 14, 16) in [f.elements for f in solo.found]
-
-
 def test_require_inverse_covering_is_noop_for_abelian():
     base = enumerate_covering_sets(SearchConfig(build_cyclic(7), 3))
     flagged = enumerate_covering_sets(
@@ -146,6 +134,8 @@ def test_gamma1_inverse_covering_search():
     witness = out.found[0]
     assert witness.classification.is_covering
     assert classify_set(inverse_set(CandidateSet(group, witness.elements))).is_covering
+    plain = exists_covering_set(SearchConfig(group, 7))
+    assert plain.found[0].elements == (0, 1, 4, 9, 11, 21, 27) and not plain.exhausted
 
 
 def test_invalid_configs():
@@ -179,6 +169,30 @@ def test_sweep_family_propagates_internal_errors(monkeypatch):
         sweep_family(["cyclic:6"], 3)
 
 
+SWEEP_SPECS = ["cyclic:6", "cyclic:12", "cyclic:0", "bogus:3"]
+
+
+def test_pooled_sweep_matches_the_inline_sweep():
+    def rows(workers):
+        return [row._replace(wall_time_ms=None) for row in sweep_family(SWEEP_SPECS, 3, workers=workers)]
+
+    inline = rows(1)
+    assert [row.error_code for row in inline] == [None, None, ValidationError.exit_code,
+                                                  UsageError.exit_code]
+    assert rows(2) == inline
+
+
+def test_small_sweeps_start_no_executor(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an executor was started")
+
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", refuse)
+    assert sweep_family(["cyclic:6"], 3, workers=2)[0].witness == (0, 1, 3)
+    assert [row.found for row in sweep_family(SWEEP_SPECS[:2], 3, workers=1)] == [True, False]
+    with pytest.raises(AssertionError, match="executor"):
+        sweep_family(SWEEP_SPECS[:2], 3, workers=2)
+
+
 def test_sweep_family_non_utf8_table_is_an_error_row(tmp_path):
     table = tmp_path / "table.txt"
     table.write_bytes(b"0 1\n1 \xff\n")
@@ -194,18 +208,6 @@ def test_ledger_search_fails_past_its_time_budget(monkeypatch):
     monkeypatch.setattr(search, "enumerate_covering_sets", lambda config: slow)
     result = ledger.run_check("abelian-40-41-42-searches")
     assert not result.ok and f"{ledger.SEARCH_BUDGET_MS} ms" in result.detail
-
-
-def test_early_exit_pool_stops_without_terminate(monkeypatch):
-    # Pool.terminate() can kill a worker holding the result queue's lock and
-    # then hang; an early exit must shut the pool down cooperatively.
-    def refuse(self):
-        raise AssertionError("Pool.terminate() was called")
-
-    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", refuse)
-    for _ in range(3):
-        out = exists_covering_set(SearchConfig(build_semidirect(5, 8, 2), 7, worker_count=2))
-        assert out.found[0].elements == (0, 1, 4, 9, 11, 21, 27) and not out.exhausted
 
 
 def test_sweep_family_z39_witness():
@@ -242,35 +244,27 @@ def test_anchored_search_matches_brute_force(group, sizes):
                 e for e in covering
                 if not inverse or classify_set(inverse_set(CandidateSet(group, e))).is_covering
             ]
-            for workers in (1, 2):
-                config = SearchConfig(
-                    group, s, require_inverse_covering=inverse, worker_count=workers
-                )
-                out = enumerate_covering_sets(config)
-                assert [f.elements for f in out.found] == want and out.exhausted
-                witness = exists_covering_set(config)
-                assert [f.elements for f in witness.found] == want[:1]
-                assert witness.exhausted == (not want)
+            config = SearchConfig(group, s, require_inverse_covering=inverse)
+            out = enumerate_covering_sets(config)
+            assert [f.elements for f in out.found] == want and out.exhausted
+            witness = exists_covering_set(config)
+            assert [f.elements for f in witness.found] == want[:1]
+            assert witness.exhausted == (not want)
 
 
 def test_per_depth_counts_sum_to_totals():
-    group = build_cyclic(21)
-    solo = enumerate_covering_sets(SearchConfig(group, 5, worker_count=1))
-    duo = enumerate_covering_sets(SearchConfig(group, 5, worker_count=2))
-    for out in (solo, duo):
-        assert sum(out.examined_by_depth) == out.candidates_examined
-        assert sum(out.pruned_by_depth) == out.candidates_pruned
-    assert solo.examined_by_depth == duo.examined_by_depth
-    assert solo.pruned_by_depth == duo.pruned_by_depth
+    out = enumerate_covering_sets(SearchConfig(build_cyclic(21), 5))
+    assert sum(out.examined_by_depth) == out.candidates_examined
+    assert sum(out.pruned_by_depth) == out.candidates_pruned
     # indexed by candidate size: the anchor 1 and the third element are
     # examined once in each of the 17 partitions
-    assert len(solo.examined_by_depth) == 6 and solo.examined_by_depth[:4] == (0, 0, 17, 17)
+    assert len(out.examined_by_depth) == 6 and out.examined_by_depth[:4] == (0, 0, 17, 17)
 
 
 def test_per_depth_counts_reach_the_json_payload(capsys):
     from bigraphds.cli import main
 
-    assert main(["search", "--group", "cyclic:13", "--size", "4", "--workers", "1", "--json"]) == 0
+    assert main(["search", "--group", "cyclic:13", "--size", "4", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert sum(payload["examined_by_depth"]) == payload["candidates_examined"]
     assert sum(payload["pruned_by_depth"]) == payload["candidates_pruned"]
@@ -341,7 +335,7 @@ def symmetry_sizes(group):
 
 
 def expand_every_find(config, monkeypatch):
-    """The oracle of the per-orbit expansion: an enumeration on one worker whose
+    """The oracle of the per-orbit expansion: an enumeration whose
     raw finds are each classified and expanded into their images phi(S t^-1),
     none skipped.
 
@@ -363,7 +357,7 @@ def expand_every_find(config, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(search, "_search_partition", record_finds)
         patch.setattr(search, "_orbit_table", record_factors)
-        out = enumerate_covering_sets(dataclasses.replace(config, worker_count=1))
+        out = enumerate_covering_sets(config)
     stab, reps = factors
     mul, inv = group.mul, group.inv
     maps = [operator.itemgetter(*psi)(r) for r in reps for psi in stab]
@@ -397,23 +391,17 @@ def test_symmetry_rules_match_brute_force_and_the_plain_search(group, monkeypatc
                 e for e in covering
                 if not inverse or classify_set(inverse_set(CandidateSet(group, e))).is_covering
             ]
-            for workers in (1, 2):
-                config = SearchConfig(
-                    group, s, require_inverse_covering=inverse, worker_count=workers
-                )
-                if workers == 1:
-                    out, expanded, _, _ = expand_every_find(config, monkeypatch)
-                    assert out.found == expanded
-                else:
-                    out = enumerate_covering_sets(config)
-                assert [f.elements for f in out.found] == want and out.exhausted
-                assert sum(out.orbit_pruned_by_depth) <= out.candidates_pruned
-                # Each image inherits its find's verdict, with the repeated elements moved.
-                assert [f.classification for f in out.found] == [
-                    classify_set(CandidateSet(group, e)) for e in want]
-                witness = exists_covering_set(config)
-                assert [f.elements for f in witness.found] == want[:1]
-                assert witness.exhausted == (not want)
+            config = SearchConfig(group, s, require_inverse_covering=inverse)
+            out, expanded, _, _ = expand_every_find(config, monkeypatch)
+            assert out.found == expanded
+            assert [f.elements for f in out.found] == want and out.exhausted
+            assert sum(out.orbit_pruned_by_depth) <= out.candidates_pruned
+            # Each image inherits its find's verdict, with the repeated elements moved.
+            assert [f.classification for f in out.found] == [
+                classify_set(CandidateSet(group, e)) for e in want]
+            witness = exists_covering_set(config)
+            assert [f.elements for f in witness.found] == want[:1]
+            assert witness.exhausted == (not want)
 
 
 @pytest.mark.parametrize("spec,raw_finds,repeats",
@@ -421,7 +409,7 @@ def test_symmetry_rules_match_brute_force_and_the_plain_search(group, monkeypatc
 def test_each_orbit_is_expanded_once_and_every_find_is_classified(spec, raw_finds, repeats,
                                                                    monkeypatch):
     # Z39's 4 raw finds lie in one orbit and Gamma1's 40 in 4.
-    config = SearchConfig(parse_group_spec(spec), 7, worker_count=1)
+    config = SearchConfig(parse_group_spec(spec), 7)
     out, expanded, raw, repeated = expand_every_find(config, monkeypatch)
     assert out.found == expanded
     assert (len(raw), len(repeated)) == (raw_finds, repeats)
@@ -471,10 +459,9 @@ def test_involution_bound_stops_at_the_root(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the search went past the root")
 
-    monkeypatch.setattr(multiprocessing, "Pool", refuse)
     monkeypatch.setattr(search, "automorphisms", refuse)
     group = parse_group_spec("semidirect:21,2,20")
-    out = exists_covering_set(SearchConfig(group, 7, worker_count=2))
+    out = exists_covering_set(SearchConfig(group, 7))
     assert not out.found and out.exhausted and out.candidates_examined == 0
 
 
@@ -489,7 +476,7 @@ def test_involution_bound_stops_at_the_root(monkeypatch):
 def test_symmetry_rules_cut_the_node_count(spec, size, finds, parent_nodes, bound):
     # Node counts are deterministic, unlike time.  With translations and the
     # excess bound alone the search examined parent_nodes.
-    out = enumerate_covering_sets(SearchConfig(parse_group_spec(spec), size, worker_count=1))
+    out = enumerate_covering_sets(SearchConfig(parse_group_spec(spec), size))
     assert len(out.found) == finds and out.exhausted
     assert out.candidates_examined < bound < parent_nodes
 
@@ -497,11 +484,11 @@ def test_symmetry_rules_cut_the_node_count(spec, size, finds, parent_nodes, boun
 def test_orbit_pruned_counts_reach_the_outputs(capsys):
     from bigraphds.cli import main
 
-    out = enumerate_covering_sets(SearchConfig(build_cyclic(39), 7, worker_count=1))
+    out = enumerate_covering_sets(SearchConfig(build_cyclic(39), 7))
     orbit = out.orbit_pruned_by_depth
     assert len(orbit) == 8 and sum(orbit) > 0
     assert all(o <= p for o, p in zip(orbit, out.pruned_by_depth))
-    argv = ["search", "--group", "cyclic:21", "--size", "5", "--workers", "1"]
+    argv = ["search", "--group", "cyclic:21", "--size", "5"]
     assert main(argv + ["--json"]) == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert sum(payload["orbit_pruned_by_depth"]) > 0
@@ -512,9 +499,9 @@ def test_orbit_pruned_counts_reach_the_outputs(capsys):
 def test_too_many_automorphisms_leave_the_translations(monkeypatch):
     # Z2 x Z8 has 16 automorphisms; past the cap the search runs without them.
     group = build_direct_product(build_cyclic(2), build_cyclic(8))
-    full = enumerate_covering_sets(SearchConfig(group, 5, worker_count=1))
+    full = enumerate_covering_sets(SearchConfig(group, 5))
     monkeypatch.setattr(search, "AUTOMORPHISM_CELLS", 15 * group.order)
-    capped = enumerate_covering_sets(SearchConfig(group, 5, worker_count=1))
+    capped = enumerate_covering_sets(SearchConfig(group, 5))
     assert [f.elements for f in capped.found] == [f.elements for f in full.found]
     assert [f.classification for f in capped.found] == [f.classification for f in full.found]
     assert sum(full.orbit_pruned_by_depth) > 0 and sum(capped.orbit_pruned_by_depth) == 0
@@ -558,7 +545,7 @@ def test_factorized_orbit_table_and_cap_match_the_full_listing(group, monkeypatc
 def test_automorphism_count_reaches_the_json_payload(capsys):
     from bigraphds.cli import main
 
-    assert main(["search", "--group", "cyclic:21", "--size", "5", "--workers", "1", "--json"]) == 0
+    assert main(["search", "--group", "cyclic:21", "--size", "5", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["payload"]["automorphisms"] == 12
     # Decided at the root, so the orbit rule never ran.
     assert main(["search", "--group", "cyclic:42", "--size", "7", "--json"]) == 0
@@ -568,27 +555,15 @@ def test_automorphism_count_reaches_the_json_payload(capsys):
 # --- forward checking -------------------------------------------------------
 
 
-def plain_search_partition(unit, budget=None):
+def plain_search_partition(state, k):
     """The oracle of forward checking: the single-pass search, whose every frame
     scans its whole range x + 1 .. n - s + size and tests each candidate afresh.
     Same state, arguments and results as search._search_partition."""
-    k, first = unit
     (pair, dt, n, s, slack, stop_after_first, require_inverse, excess0, orbit,
-     coset, d, step) = search._STATE
-    halt = search._HALT
+     coset, d, step) = state
     examined, pruned, orbit_pruned, coset_pruned = tallies = [[0] * (s + 1) for _ in range(4)]
-    finds, rest, counts, partial = [], None, [0] * n, [0]
-    fixed = (None, (1,), (k + 1,), range(first, n - s + 4))[:s]
-
-    def pause(x):
-        nonlocal rest
-        if halt is not None:
-            return bool(halt.value)
-        rest = x + 1 if budget is not None and sum(examined) >= budget else None
-        return rest is not None
-
-    if pause(first - 1):
-        return finds, tallies, rest
+    finds, counts, partial = [], [0] * n, [0]
+    fixed = (None, (1,), (k + 1,), range(k + 2, n - s + 4))[:s]
 
     def extend(excess, start, state):
         size = len(partial)
@@ -616,7 +591,7 @@ def plain_search_partition(unit, budget=None):
                 pruned[size + 1] += 1
             elif size + 1 < s:
                 partial.append(x)
-                stop = extend(exc, x + 1, after) or (size == 3 and pause(x))
+                stop = extend(exc, x + 1, after)
                 partial.pop()
             else:
                 elems = (*partial, x)
@@ -630,10 +605,7 @@ def plain_search_partition(unit, budget=None):
         return stop
 
     extend(excess0, 1, step[0])
-    if first > k + 2:
-        for tally in tallies:
-            tally[2] = tally[3] = 0
-    return finds, tallies, rest
+    return finds, tallies
 
 
 def accepted(out):
@@ -642,11 +614,11 @@ def accepted(out):
 
 
 def assert_matches_the_plain_search(out, run, config):
-    """out, from run(config), against the single-pass oracle on one worker: the same
+    """out, from run(config), against the single-pass oracle: the same
     finds with their classifications, and for an exhausted search the same accepted
     nodes and no more examined ones at every size.  Returns the oracle's outcome."""
     with mock.patch.object(search, "_search_partition", plain_search_partition):
-        plain = run(dataclasses.replace(config, worker_count=1))
+        plain = run(config)
     assert out.found == plain.found and out.exhausted == plain.exhausted
     if out.exhausted:
         assert accepted(out) == accepted(plain)
@@ -658,7 +630,7 @@ def assert_matches_the_plain_search(out, run, config):
 def test_forward_checking_matches_the_plain_search(group):
     for s in symmetry_sizes(group):
         for inverse in (False, True):
-            config = SearchConfig(group, s, require_inverse_covering=inverse, worker_count=1)
+            config = SearchConfig(group, s, require_inverse_covering=inverse)
             for run in (enumerate_covering_sets, exists_covering_set):
                 assert_matches_the_plain_search(run(config), run, config)
 
@@ -667,96 +639,38 @@ def test_forward_checking_matches_the_plain_search(group):
 @given(st.sampled_from(RELABEL_CASES), st.randoms(use_true_random=False), st.booleans())
 def test_forward_checking_under_random_relabelings(case, rng, inverse):
     group, size = case
-    config = SearchConfig(relabeled(group, rng), size, require_inverse_covering=inverse,
-                          worker_count=1)
+    config = SearchConfig(relabeled(group, rng), size, require_inverse_covering=inverse)
     for run in (enumerate_covering_sets, exists_covering_set):
         assert_matches_the_plain_search(run(config), run, config)
 
 
-# Budgets for the forced pool: hand off before the first partition, at the
-# first fourth-level boundary, and part-way through a partition.
 POOL_CASES = [
     (build_cyclic(21), 5),
     (build_semidirect(7, 3, 2), 6),
     (build_semidirect(5, 4, 2), 6),
     (relabeled(build_semidirect(7, 3, 2), random.Random(1)), 6),
 ]
-MID_PARTITION_BUDGET = 24
 
 
-def search_key(out):
-    return ([f.elements for f in out.found], out.exhausted, out.examined_by_depth,
-            out.pruned_by_depth, out.orbit_pruned_by_depth)
-
-
-@pytest.mark.parametrize("budget", [0, 1, MID_PARTITION_BUDGET])
+# A count-vector budget for the coset bound: 0 and 1 leave G/G alone, 24 lets
+# the quotients of index 2 (s = 6) or up to 3 (s = 5) prune as well.
+@pytest.mark.parametrize("budget", [0, 1, 24])
 @pytest.mark.parametrize("group,size", POOL_CASES, ids=[f"{g.name}-s{s}" for g, s in POOL_CASES])
 def test_forced_pool_matches_one_worker_and_brute_force(group, size, budget, monkeypatch):
     covering = canonical_covering_sets(group, size)
-    monkeypatch.setattr(search, "FAN_OUT_NODES", budget)
+    monkeypatch.setattr(search, "QUOTIENT_VECTORS", budget)
     for inverse in (False, True):
         want = [
             e for e in covering
             if not inverse or classify_set(inverse_set(CandidateSet(group, e))).is_covering
         ]
-        solo = SearchConfig(group, size, require_inverse_covering=inverse, worker_count=1)
-        duo = SearchConfig(group, size, require_inverse_covering=inverse, worker_count=2)
-        out = enumerate_covering_sets(duo)
-        assert search_key(out) == search_key(enumerate_covering_sets(solo))
-        assert_matches_the_plain_search(out, enumerate_covering_sets, duo)
+        config = SearchConfig(group, size, require_inverse_covering=inverse)
+        out = enumerate_covering_sets(config)
+        assert_matches_the_plain_search(out, enumerate_covering_sets, config)
         assert [f.elements for f in out.found] == want and out.exhausted
-        if budget == 0:
-            assert out.fan_out == (1, 3)  # the pool gets every partition
-        else:
-            k, first = out.fan_out
-            assert first > k + 2 or budget == 1  # split part-way through partition k
-        witness = exists_covering_set(duo)
-        assert search_key(witness) == search_key(exists_covering_set(solo))
-        assert_matches_the_plain_search(witness, exists_covering_set, duo)
+        witness = exists_covering_set(config)
+        assert_matches_the_plain_search(witness, exists_covering_set, config)
         assert [f.elements for f in witness.found] == want[:1]
-        assert witness.fan_out is not None or budget
-
-
-def test_early_exit_through_a_forced_pool_stops_without_terminate(monkeypatch):
-    def refuse(self):
-        raise AssertionError("Pool.terminate() was called")
-
-    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", refuse)
-    group = build_semidirect(5, 8, 2)
-    for budget in (0, 1, 1000):
-        monkeypatch.setattr(search, "FAN_OUT_NODES", budget)
-        out = exists_covering_set(SearchConfig(group, 7, worker_count=2))
-        assert out.found[0].elements == (0, 1, 4, 9, 11, 21, 27) and not out.exhausted
-        assert out.fan_out is not None
-
-
-def test_search_split_mid_partition_is_exhausted(monkeypatch):
-    monkeypatch.setattr(search, "FAN_OUT_NODES", MID_PARTITION_BUDGET)
-    out = enumerate_covering_sets(SearchConfig(build_cyclic(21), 5, worker_count=2))
-    k, first = out.fan_out
-    assert first > k + 2 and out.exhausted
-
-
-def test_small_search_starts_no_pool(monkeypatch):
-    # One of the costliest s = 7 existence searches at orders 39-42.
-    def refuse(*args, **kwargs):
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr(multiprocessing, "Pool", refuse)
-    out = exists_covering_set(SearchConfig(parse_group_spec("semidirect:13,3,3"), 7, worker_count=2))
-    assert out.fan_out is None and out.exhausted and not out.found
-    assert out.candidates_examined < search.FAN_OUT_NODES
-
-
-def test_fan_out_reaches_the_json_payload(monkeypatch, capsys):
-    from bigraphds.cli import main
-
-    argv = ["search", "--group", "cyclic:21", "--size", "5", "--json", "--workers"]
-    assert main(argv + ["2"]) == 0
-    assert json.loads(capsys.readouterr().out)["payload"]["fan_out"] is None
-    monkeypatch.setattr(search, "FAN_OUT_NODES", 0)
-    assert main(argv + ["2"]) == 0
-    assert json.loads(capsys.readouterr().out)["payload"]["fan_out"] == [1, 3]
 
 
 # --- coset-count bound ------------------------------------------------------
@@ -873,13 +787,13 @@ def test_coset_bound_matches_brute_force_and_the_plain_search(group, cap, monkey
     monkeypatch.setattr(search, "QUOTIENT_VECTORS", cap)
     for s in symmetry_sizes(group):
         want = canonical_covering_sets(group, s)
-        out = enumerate_covering_sets(SearchConfig(group, s, worker_count=1))
+        out = enumerate_covering_sets(SearchConfig(group, s))
         assert [f.elements for f in out.found] == want and out.exhausted
         assert all(c <= p for c, p in zip(out.coset_pruned_by_depth, out.pruned_by_depth))
         assert out.quotient_index is None or group.order % out.quotient_index == 0
         if out.candidates_examined == 0:
             assert not want and out.quotient_index is not None
-        witness = exists_covering_set(SearchConfig(group, s, worker_count=1))
+        witness = exists_covering_set(SearchConfig(group, s))
         assert [f.elements for f in witness.found] == want[:1]
 
 
@@ -901,8 +815,8 @@ def test_coset_bound_under_random_relabelings(case, rng, cap):
     old_cap = search.QUOTIENT_VECTORS
     search.QUOTIENT_VECTORS = cap
     try:
-        out = enumerate_covering_sets(SearchConfig(loaded, size, worker_count=1))
-        witness = exists_covering_set(SearchConfig(loaded, size, worker_count=1))
+        out = enumerate_covering_sets(SearchConfig(loaded, size))
+        witness = exists_covering_set(SearchConfig(loaded, size))
     finally:
         search.QUOTIENT_VECTORS = old_cap
     assert [f.elements for f in out.found] == want
@@ -920,19 +834,18 @@ def test_coset_bound_decides_at_the_root(spec, size, index, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the search went past the root")
 
-    monkeypatch.setattr(multiprocessing, "Pool", refuse)
     monkeypatch.setattr(search, "automorphisms", refuse)
     for run in (exists_covering_set, enumerate_covering_sets):
-        out = run(SearchConfig(parse_group_spec(spec), size, worker_count=2))
+        out = run(SearchConfig(parse_group_spec(spec), size))
         assert not out.found and out.exhausted and out.candidates_examined == 0
         assert out.quotient_index == index
 
 
 def test_without_quotients_the_search_is_unchanged(monkeypatch):
-    full = enumerate_covering_sets(SearchConfig(build_cyclic(39), 7, worker_count=1))
+    full = enumerate_covering_sets(SearchConfig(build_cyclic(39), 7))
     assert full.quotient_index == 3 and sum(full.coset_pruned_by_depth) > 0
     monkeypatch.setattr(search, "QUOTIENT_VECTORS", 0)
-    bare = enumerate_covering_sets(SearchConfig(build_cyclic(39), 7, worker_count=1))
+    bare = enumerate_covering_sets(SearchConfig(build_cyclic(39), 7))
     assert [f.elements for f in bare.found] == [f.elements for f in full.found]
     assert bare.quotient_index is None and not any(bare.coset_pruned_by_depth)
     assert bare.candidates_examined > full.candidates_examined
@@ -941,7 +854,7 @@ def test_without_quotients_the_search_is_unchanged(monkeypatch):
 def test_coset_counts_reach_the_outputs(capsys):
     from bigraphds.cli import main
 
-    argv = ["search", "--group", "cyclic:21", "--size", "5", "--workers", "1"]
+    argv = ["search", "--group", "cyclic:21", "--size", "5"]
     assert main(argv + ["--json"]) == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
     coset = sum(payload["coset_pruned_by_depth"])
@@ -1011,7 +924,7 @@ def test_search_tree_is_golden(spec, size, mode, inverse, finds, examined, prune
                                plain_examined, plain_pruned):
     run = enumerate_covering_sets if mode == "enumerate" else exists_covering_set
     group = GOLDEN_GROUPS[spec] if spec in GOLDEN_GROUPS else parse_group_spec(spec)
-    config = SearchConfig(group, size, require_inverse_covering=inverse, worker_count=1)
+    config = SearchConfig(group, size, require_inverse_covering=inverse)
     out = run(config)
     assert len(out.found) == finds
     assert out.examined_by_depth == examined and out.pruned_by_depth == pruned
@@ -1049,20 +962,21 @@ def path_search(group, elems, slack):
             for q in range(1 << m) for x in range(n)]
     states = []
 
-    def capture(state, halt=None):
+    def capture(state, k):
         states.append(state)
-        set_state(state, halt)
+        return search_partition(state, k)
 
-    set_state, coset_rule, cells = search._set_state, search._coset_rule, search.AUTOMORPHISM_CELLS
-    search._set_state, search.AUTOMORPHISM_CELLS = capture, 0
+    search_partition, coset_rule, cells = (search._search_partition, search._coset_rule,
+                                           search.AUTOMORPHISM_CELLS)
+    search._search_partition, search.AUTOMORPHISM_CELLS = capture, 0
     search._coset_rule = lambda *args: (n, list(range(n)), step)
     try:
-        enumerate_covering_sets(SearchConfig(group, m, worker_count=1))
+        enumerate_covering_sets(SearchConfig(group, m))
     finally:
-        search._set_state, search._coset_rule, search.AUTOMORPHISM_CELLS = set_state, coset_rule, cells
-    state = states[0]
-    search._set_state(state[:4] + (slack,) + state[5:])  # the slack is the fifth entry
-    finds, (examined, pruned, orbit, _), _ = search._search_partition((elems[2] - 1, elems[2] + 1))
+        search._search_partition, search._coset_rule, search.AUTOMORPHISM_CELLS = (
+            search_partition, coset_rule, cells)
+    state = states[0][:4] + (slack,) + states[0][5:]  # the slack is the fifth entry
+    finds, (examined, pruned, orbit, _) = search._search_partition(state, elems[2] - 1)
     assert not any(orbit)
     return finds, list(map(operator.sub, examined, pruned))
 
